@@ -19,7 +19,8 @@ residual check of the Kuhn-Tucker conditions.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,9 +35,8 @@ from .operators import (
     project_partial_ball,
 )
 from .problems import Prng
+from .splitting import _check_gamma, consensus_spread, iterate
 from .trace import ResidualTrace
-
-DIVERGENCE_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -156,13 +156,6 @@ def _solve_block(p, i, v):
         raise SubproblemError(i + 1, str(exc)) from exc
 
 
-def _check_gamma(gamma, allow_one=False):
-    hi_ok = gamma <= 1.0 if allow_one else gamma < 1.0
-    if not (0.0 < gamma and hi_ok):
-        bracket = "]" if allow_one else ")"
-        raise ParameterError(f"gamma must lie in (0, 1{bracket}, got {gamma}")
-
-
 def admm_avg_step(p, z, gamma):
     """One sweep of the averaged form.
 
@@ -174,7 +167,7 @@ def admm_avg_step(p, z, gamma):
     ``gamma = 1`` is the limiting case (sound under uniform monotonicity of
     the dual blocks); the plain convergence theory needs ``gamma < 1``.
     """
-    _check_gamma(gamma, allow_one=True)
+    _check_gamma(gamma)
     n = p.n
     m = p.b.size
     z = np.asarray(z, dtype=np.float64)
@@ -213,7 +206,7 @@ def admm_auglag_step(p, mu, w_prev, gamma):
     ``gamma = 1`` is the limiting case: the correction terms vanish and for
     two blocks the sweep is classical ADMM with a single multiplier chain.
     """
-    _check_gamma(gamma, allow_one=True)
+    _check_gamma(gamma)
     n = p.n
     m = p.b.size
     mu = np.asarray(mu, dtype=np.float64)
@@ -316,25 +309,6 @@ class AdmmReport:
     mu: np.ndarray = None
 
 
-def _dual_estimates(form, z_pre, mu, s, b):
-    if form == "averaged":
-        duals = np.empty((len(z_pre), z_pre.shape[1]))
-        acc = np.zeros(z_pre.shape[1])
-        for i in range(len(z_pre)):
-            acc = acc + s[i]
-            duals[i] = z_pre[i] + acc
-        return duals
-    return mu.copy()
-
-
-def _pairwise_spread(vecs):
-    worst = 0.0
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            worst = max(worst, float(np.linalg.norm(vecs[i] - vecs[j])))
-    return worst
-
-
 def _relative_change(w_new, w_old, indices):
     num = 0.0
     den = 0.0
@@ -374,73 +348,68 @@ def admm_solve(
     AdmmReport
         With a per-iteration trace of ``primal_residual``,
         ``relative_change`` and ``dual_spread``; ``converged=False``
-        (without exception) when the iteration budget runs out.
+        (without exception) when the iteration budget runs out, and
+        ``diverged=True`` with ``kkt=None`` when the primal residual turns
+        non-finite or exceeds the divergence cap.
     """
-    _check_gamma(gamma)
+    _check_gamma(gamma, include_hi=False)
     if form not in ("averaged", "auglag"):
         raise ParameterError(f"unknown form {form!r}")
     n = p.n
     m = p.b.size
     indices = list(range(n)) if metric_blocks is None else list(metric_blocks)
     trace = ResidualTrace(["primal_residual", "relative_change", "dual_spread"])
+    z = mu = duals = None
+    w_prev = [np.zeros(blk.w_dim) for blk in p.blocks]
     if form == "averaged":
+        # w_prev only enters the relative-change metric; the sweep is z-driven
         z = np.zeros((n - 1, m)) if init is None else np.asarray(init, dtype=np.float64)
-        mu = None
-        # only enters the relative-change metric; the sweep itself is z-driven
-        w_prev = [np.zeros(blk.w_dim) for blk in p.blocks]
+    elif init is None:
+        mu = np.zeros((n, m))
     else:
-        if init is None:
-            mu = np.zeros((n, m))
-            w_prev = [np.zeros(blk.w_dim) for blk in p.blocks]
-        else:
-            mu, w_prev = init
-            mu = np.asarray(mu, dtype=np.float64)
-            w_prev = [np.asarray(wi, dtype=np.float64) for wi in w_prev]
-    converged = False
-    diverged = False
-    w = w_prev
-    duals = None
-    k = 0
-    for k in range(1, max_iter + 1):
+        mu, w_prev = init
+        mu = np.asarray(mu, dtype=np.float64)
+        w_prev = [np.asarray(wi, dtype=np.float64) for wi in w_prev]
+
+    def step():
+        nonlocal z, mu, w_prev, duals
         if form == "averaged":
             z_pre = z
             z, w = admm_avg_step(p, z, gamma)
         else:
-            z_pre = None
             mu, w = admm_auglag_step(p, mu, w_prev, gamma)
         s = [p.blocks[i].apply(w[i]) for i in range(n)]
-        primal = float(np.linalg.norm(sum(s) - p.b))
+        if form == "averaged":
+            # z_i + A_1 w_1 + ... + A_i w_i, the prefix sums started from zero
+            duals = z_pre + np.array(list(accumulate(s[:-1], initial=np.zeros(m)))[1:])
+        else:
+            duals = mu.copy()
         rel = _relative_change(w, w_prev, indices)
-        duals = _dual_estimates(form, z_pre, mu, s, p.b)
-        spread = _pairwise_spread(duals)
-        trace.append(k, {
-            "primal_residual": primal,
-            "relative_change": rel,
-            "dual_spread": spread,
-        })
         w_prev = w
-        if not np.isfinite(primal) or primal > DIVERGENCE_CAP:
-            diverged = True
-            break
-        if primal <= tol:
-            converged = True
-            break
-    kkt = kkt_residual(p, w, duals[-1])
-    kkt = KktResidual(
-        primal=kkt.primal,
-        dual_spread=_pairwise_spread(duals),
-        subgradient=kkt.subgradient,
+        return {
+            "primal_residual": float(np.linalg.norm(sum(s) - p.b)),
+            "relative_change": rel,
+            "dual_spread": consensus_spread(duals),
+        }
+
+    k, converged, diverged = iterate(
+        step, trace, max_iter, lambda row: row["primal_residual"] <= tol,
+        watch="primal_residual",
     )
+    kkt = None
+    if not diverged:
+        kkt = kkt_residual(p, w_prev, duals[-1])
+        kkt = replace(kkt, dual_spread=trace.last("dual_spread"))
     return AdmmReport(
         converged=converged,
         iterations=k,
-        w=w,
+        w=w_prev,
         duals=duals,
         kkt=kkt,
         trace=trace,
         diverged=diverged,
-        z=z if form == "averaged" else None,
-        mu=mu if form == "auglag" else None,
+        z=z,
+        mu=mu,
     )
 
 
@@ -595,26 +564,23 @@ def asalm_solve(observed, lam, delta, max_iter=2000, tol=0.0):
     state = asalm_init(observed.values.shape)
     m_mat = observed.observed()
     trace = ResidualTrace(["relative_change", "primal_residual", "primal_residual_omega"])
-    for k in range(1, max_iter + 1):
+
+    def step():
+        nonlocal state
         new = asalm_step(state, observed, lam, delta)
-        num = math.sqrt(
-            float(np.linalg.norm(new.low_rank - state.low_rank) ** 2)
-            + float(np.linalg.norm(new.sparse - state.sparse) ** 2)
+        rel = _relative_change(
+            (new.low_rank, new.sparse), (state.low_rank, state.sparse), (0, 1)
         )
-        den = math.sqrt(
-            float(np.linalg.norm(state.low_rank) ** 2)
-            + float(np.linalg.norm(state.sparse) ** 2)
-        )
-        rel = num / (den + 1.0)
         resid = new.low_rank + new.sparse + new.fit - m_mat
-        trace.append(k, {
+        state = new
+        return {
             "relative_change": rel,
             "primal_residual": float(np.linalg.norm(resid)),
             "primal_residual_omega": float(np.linalg.norm(resid[observed.mask])),
-        })
-        state = new
-        if tol > 0.0 and rel <= tol:
-            break
+        }
+
+    iterate(step, trace, max_iter, lambda row: tol > 0.0 and row["relative_change"] <= tol,
+            watch="relative_change")
     return state, trace
 
 
@@ -676,6 +642,7 @@ class PdhgReport:
     x: np.ndarray
     y: np.ndarray
     trace: ResidualTrace
+    diverged: bool = False
 
 
 def pdhg_solve(c, lap, tau, sigma, x0=None, y0=None, tol=1e-8, max_iter=100000):
@@ -691,18 +658,19 @@ def pdhg_solve(c, lap, tau, sigma, x0=None, y0=None, tol=1e-8, max_iter=100000):
     x = np.zeros_like(c) if x0 is None else np.asarray(x0, dtype=np.float64)
     y = np.zeros_like(c) if y0 is None else np.asarray(y0, dtype=np.float64)
     trace = ResidualTrace(["residual"])
-    converged = False
-    k = 0
-    for k in range(1, max_iter + 1):
+
+    def step():
+        nonlocal x, y
         x_next = prox_abs(x - tau * (lap @ y), c, tau)
         y_next = y + sigma * (lap @ (2.0 * x_next - x))
         residual = math.sqrt(
             float(np.linalg.norm(x_next - x) ** 2) / tau**2
             + float(np.linalg.norm(y_next - y) ** 2) / sigma**2
         )
-        trace.append(k, {"residual": residual})
         x, y = x_next, y_next
-        if residual <= tol:
-            converged = True
-            break
-    return PdhgReport(converged=converged, iterations=k, x=x, y=y, trace=trace)
+        return {"residual": residual}
+
+    k, converged, diverged = iterate(step, trace, max_iter, lambda row: row["residual"] <= tol)
+    return PdhgReport(
+        converged=converged, iterations=k, x=x, y=y, trace=trace, diverged=diverged
+    )

@@ -162,23 +162,14 @@ def cmd_consensus(args):
     ops = inst.operators()
     rows = []
     for name in names:
-        if name == "mt":
-            report = splitting.mt_solve(ops, gamma=gamma, tol=tol, max_iter=max_iter, dim=1)
-            residuals = report.trace.columns["residual"]
-        elif name == "product_dr":
-            report = splitting.product_dr_solve(
-                ops, gamma=gamma, tol=tol, max_iter=max_iter, dim=1
-            )
-            residuals = report.trace.columns["residual"]
-        elif name == "ryu3":
-            report = splitting.ryu3_solve(ops, gamma=gamma, tol=tol, max_iter=max_iter, dim=1)
-            residuals = report.trace.columns["residual"]
-        else:
-            variant = int(name[-1])
+        if name.startswith("pdhg"):
             lap = problems.cycle_laplacian(n)
-            tau, sigma = admm.pdhg_stepsizes(linalg.op_norm(lap), variant)
+            tau, sigma = admm.pdhg_stepsizes(linalg.op_norm(lap), int(name[-1]))
             report = admm.pdhg_solve(inst.c, lap, tau, sigma, tol=tol, max_iter=max_iter)
-            residuals = report.trace.columns["residual"]
+        else:
+            solve = getattr(splitting, f"{name}_solve")
+            report = solve(ops, gamma=gamma, tol=tol, max_iter=max_iter, dim=1)
+        residuals = report.trace.columns["residual"]
         for k, value in enumerate(residuals, start=1):
             rows.append([str(k), name, format_float(value)])
         print(f"{name}: {len(residuals)} iterations, final residual "
@@ -215,13 +206,8 @@ def cmd_rpca(args):
             )
             trace = report.trace
             recovered[name] = (report.w[2].reshape(shape), report.w[1].reshape(shape))
-        for idx in range(len(trace)):
-            rows.append([
-                str(trace.ks[idx]),
-                name,
-                format_float(trace.columns["relative_change"][idx]),
-                format_float(trace.columns["primal_residual"][idx]),
-            ])
+        for k, *values in trace.rows(["relative_change", "primal_residual"]):
+            rows.append([k, name, *values])
         print(f"{name}: {len(trace)} iterations, final relative change "
               f"{format_float(trace.columns['relative_change'][-1])}")
     if args.out:
@@ -276,17 +262,10 @@ def cmd_verify(args):
     for trial in range(max(1, args.trials // 10)):
         inst = problems.gen_affine_monotone(sch.n, dim, seed=int(prng.uniforms(1)[0] * 2**31))
         ops = inst.operators()
-        for _ in range(10):
-            z = prng.normals(sch.d * dim).reshape(sch.d, dim)
-            z_bar = prng.normals(sch.d * dim).reshape(sch.d, dim)
-            tz = scheme.eval_scheme(sch, z, ops)[0]
-            tz_bar = scheme.eval_scheme(sch, z_bar, ops)[0]
-            r, r_bar = z - tz, z_bar - tz_bar
-            lhs = float(np.linalg.norm(tz - tz_bar) ** 2)
-            lhs += (1.0 - gamma) / gamma * float(np.linalg.norm(r - r_bar) ** 2)
-            lhs += float(np.linalg.norm((r - r_bar).sum(axis=0)) ** 2) / gamma
-            rhs = float(np.linalg.norm(z - z_bar) ** 2)
-            worst_slack = max(worst_slack, (lhs - rhs) / (1.0 + rhs))
+        slack = splitting.averagedness_sample(
+            lambda z: scheme.eval_scheme(sch, z, ops)[0], gamma, prng, sch.d, dim, 10
+        )
+        worst_slack = max(worst_slack, slack)
         z_fix, conv, div, _ = scheme.solve_scheme(sch, ops, dim=dim, tol=1e-10,
                                                   max_iter=20000)
         diverged_any = diverged_any or div

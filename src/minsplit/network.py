@@ -27,15 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ProtocolError, ShapeError
+from .errors import ParameterError, ProtocolError
 from .splitting import (
-    SolveReport,
-    SplitState,
+    _check_gamma,
+    _lifted,
+    _solve_report,
     chain_argument,
     consensus_spread,
     relaxed_update,
 )
-from .trace import ResidualTrace, format_float, write_csv
+from .trace import format_float, write_csv
 
 Z_PASS = "z"
 X_PASS = "x"
@@ -77,11 +78,7 @@ def make_nodes(ops, z0):
     n = len(ops)
     if n < 2:
         raise ParameterError(f"cycle needs at least 2 nodes, got {n}")
-    z0 = np.asarray(z0, dtype=np.float64)
-    if z0.ndim == 1:
-        z0 = z0[:, None]
-    if z0.shape[0] != n - 1:
-        raise ShapeError(f"z0 must have {n - 1} blocks, got shape {z0.shape}")
+    z0 = _lifted(z0, n - 1, None, name="z0")
     nodes = [Node(node_id=1, op=ops[0])]
     for i in range(2, n + 1):
         nodes.append(Node(node_id=i, op=ops[i - 1], owned_z=z0[i - 2].copy()))
@@ -181,8 +178,7 @@ def run_round(nodes, gamma, round_index):
     Returns a :class:`RoundLog`; raises :class:`ProtocolError` on
     uninitialised node state or adjacency violations.
     """
-    if not (0.0 < gamma <= 1.0):
-        raise ParameterError(f"gamma must lie in (0, 1], got {gamma}")
+    _check_gamma(gamma)
     mail = _Mailbox(len(nodes))
     log = RoundLog(round_index=round_index)
     _send_block_pass(nodes[1:], mail, log)
@@ -205,19 +201,17 @@ def run_protocol(nodes, gamma, rounds, tol=0.0, mode="strict"):
     """
     if mode not in ("strict", "pipelined"):
         raise ParameterError(f"unknown mode {mode!r}")
-    if not (0.0 < gamma <= 1.0):
-        raise ParameterError(f"gamma must lie in (0, 1], got {gamma}")
-    if rounds < 1:
-        raise ParameterError(f"rounds must be >= 1, got {rounds}")
+    _check_gamma(gamma)
     n = len(nodes)
     mail = _Mailbox(n)
-    trace = ResidualTrace(["residual", "spread"])
     logs = []
-    converged = False
-    k = 0
     current = RoundLog(round_index=1)
     _send_block_pass(nodes[1:], mail, current)
-    for k in range(1, rounds + 1):
+    x = None
+
+    def step():
+        nonlocal current, x
+        k = current.round_index
         z_before = gathered_z(nodes)
         _resolvent_chain(nodes, gamma, mail, current)
         upcoming = RoundLog(round_index=k + 1)
@@ -230,25 +224,16 @@ def run_protocol(nodes, gamma, rounds, tol=0.0, mode="strict"):
         z_after = gathered_z(nodes)
         residual = float(np.linalg.norm(z_after - z_before)) / gamma
         x = np.stack([current.x_values[i] for i in range(1, n + 1)])
-        trace.append(k, {"residual": residual, "spread": consensus_spread(x)})
-        if tol > 0.0 and residual <= tol:
-            converged = True
-            break
         if k < rounds:
-            if mode == "pipelined":
-                _send_block_pass(nodes[-1:], mail, upcoming)
-            else:
-                _send_block_pass(nodes[1:], mail, upcoming)
-            current = upcoming
-    x = np.stack([logs[-1].x_values[i] for i in range(1, n + 1)])
-    state = SplitState(z=gathered_z(nodes), x=x, k=k, residual=trace.last("residual"))
-    report = SolveReport(
-        converged=converged,
-        iterations=k,
-        final_x=x[0].copy(),
-        trace=trace,
-        consensus_spread=trace.last("spread"),
-        state=state,
+            _send_block_pass(nodes[-1:] if mode == "pipelined" else nodes[1:], mail, upcoming)
+        current = upcoming
+        return {"residual": residual, "spread": consensus_spread(x)}
+
+    report = _solve_report(
+        step,
+        rounds,
+        lambda row: tol > 0.0 and row["residual"] <= tol,
+        lambda: (gathered_z(nodes), x, x[0].copy()),
     )
     return report, logs
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFixedPointError, ParameterError, SchemeParseError, ShapeError
-from .splitting import DIVERGENCE_CAP, consensus_spread
+from .splitting import _lifted, consensus_spread, iterate
 from .trace import format_float
 
 
@@ -157,11 +157,7 @@ def eval_scheme(s, z, ops):
     """
     if len(ops) != s.n:
         raise ShapeError(f"scheme expects {s.n} operators, got {len(ops)}")
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
-    if z.shape[0] != s.d:
-        raise ShapeError(f"z must have {s.d} blocks, got shape {z.shape}")
+    z = _lifted(z, s.d, None)
     dim = z.shape[1]
     x = np.zeros((s.n, dim))
     y = np.zeros((s.n, dim))
@@ -193,10 +189,7 @@ def witness_from_point(s, z, ops):
     element of ``A(x)`` selected by the resolvent evaluations.
     """
     _, _, x, y = eval_scheme(s, z, ops)
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
-    return KernelWitness(z=z, x=x, y=y, a=y - x)
+    return KernelWitness(z=_lifted(z, s.d, None), x=x, y=y, a=y - x)
 
 
 def kernel_residuals(s, w):
@@ -233,15 +226,12 @@ def check_solution_mapping(s, ops, z_fixed, fp_tol=1e-8):
     :class:`NotAFixedPointError` when ``||T(z) - z|| > fp_tol``.
     """
     t_out, s_out, x, y = eval_scheme(s, z_fixed, ops)
-    z = np.asarray(z_fixed, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
-    drift = float(np.linalg.norm(t_out - z))
+    drift = float(np.linalg.norm(t_out - _lifted(z_fixed, s.d, None)))
     if drift > fp_tol:
         raise NotAFixedPointError(
             f"||T(z) - z|| = {drift:.3e} exceeds fp_tol = {fp_tol:.3e}"
         )
-    spread = float(np.max(np.linalg.norm(x - x[0], axis=1)))
+    spread = consensus_spread(x)
     mean_y = y.mean(axis=0)
     s_vs_mean = float(np.linalg.norm(s_out - mean_y))
     inclusion = float(np.linalg.norm((y - x).sum(axis=0)))
@@ -277,27 +267,18 @@ def solve_scheme(s, ops, z0=None, tol=1e-10, max_iter=100000, dim=None):
     Returns ``(z, converged, diverged, iterations)``; ``converged`` means
     ``||T(z) - z|| <= tol``.
     """
-    if z0 is None:
-        if dim is None:
-            raise ParameterError("provide z0 or dim")
-        z = np.zeros((s.d, dim))
-    else:
-        z = np.asarray(z0, dtype=np.float64)
-        if z.ndim == 1:
-            z = z[:, None]
-    converged = False
-    diverged = False
-    k = 0
-    for k in range(1, max_iter + 1):
-        z_next, _, _, _ = eval_scheme(s, z, ops)
+    z = _lifted(z0, s.d, dim, name="z0")
+
+    def step():
+        nonlocal z
+        z_next = eval_scheme(s, z, ops)[0]
         delta = float(np.linalg.norm(z_next - z))
         z = z_next
-        if not np.isfinite(delta) or delta > DIVERGENCE_CAP:
-            diverged = True
-            break
-        if delta <= tol:
-            converged = True
-            break
+        return {"delta": delta}
+
+    k, converged, diverged = iterate(
+        step, None, max_iter, lambda row: row["delta"] <= tol, watch="delta"
+    )
     return z, converged, diverged, k
 
 

@@ -49,7 +49,7 @@ class SolveReport:
 
 
 def relaxed_update(z_block, x_next, x_prev, gamma):
-    """One block of ``z + gamma * (x_next - x_prev)``.
+    """``z + gamma * (x_next - x_prev)`` for one block or a stack of blocks.
 
     At ``gamma == 1`` this is computed as ``x_next + (z - x_prev)`` so that
     the zero-operator case (where ``x_prev == z`` exactly) performs an exact
@@ -73,18 +73,66 @@ def chain_argument(lead, z_prev, x_prev):
 def consensus_spread(x):
     """Largest pairwise distance ``max_{i,j} ||x_i - x_j||`` between blocks."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] == 1:
+    n, dim = x.shape
+    if dim == 1:
         col = x[:, 0]
         return float(col.max() - col.min())
-    diffs = x[:, None, :] - x[None, :, :]
-    return float(np.sqrt((diffs**2).sum(axis=2)).max())
+    if dim <= n:
+        diffs = x[:, None, :] - x[None, :, :]
+        return float(np.sqrt((diffs**2).sum(axis=2)).max())
+    # few long blocks (the ADMM dual estimates): one row against the rows
+    # after it, which avoids allocating the (n, n, dim) difference tensor
+    dists = [np.sqrt(((x[i + 1:] - x[i]) ** 2).sum(axis=1)).max() for i in range(n - 1)]
+    return float(np.max(dists, initial=0.0))
 
 
-def _check_gamma(gamma, lo, hi, include_hi):
-    ok = lo < gamma <= hi if include_hi else lo < gamma < hi
+def iterate(step, trace, max_iter, stop, watch="residual"):
+    """Drive a fixed-point iteration for at most ``max_iter`` sweeps.
+
+    ``step()`` advances the caller's state by one sweep and returns the
+    sweep's row of named values, which is appended to ``trace`` (unless it
+    is ``None``) under the sweep number.  The run ends at the first sweep
+    whose ``watch`` value is non-finite or above :data:`DIVERGENCE_CAP`
+    (diverged), or whose row satisfies ``stop(row)`` (converged).
+
+    Returns ``(iterations, converged, diverged)``; raises
+    :class:`ParameterError` when ``max_iter < 1``.
+    """
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    for k in range(1, max_iter + 1):
+        row = step()
+        if trace is not None:
+            trace.append(k, row)
+        m = row[watch]
+        if not math.isfinite(m) or m > DIVERGENCE_CAP:
+            return k, False, True
+        if stop(row):
+            return k, True, False
+    return max_iter, False, False
+
+
+def _solve_report(step, max_iter, stop, final):
+    # iterate on a residual/spread trace; final() gives (z, x, final_x)
+    trace = ResidualTrace(["residual", "spread"])
+    k, converged, diverged = iterate(step, trace, max_iter, stop)
+    z, x, final_x = final()
+    return SolveReport(
+        converged=converged,
+        iterations=k,
+        final_x=final_x,
+        trace=trace,
+        consensus_spread=trace.last("spread"),
+        diverged=diverged,
+        state=SplitState(z=z, x=x, k=k, residual=trace.last("residual")),
+    )
+
+
+def _check_gamma(gamma, hi=1.0, include_hi=True):
+    ok = 0.0 < gamma <= hi if include_hi else 0.0 < gamma < hi
     if not ok:
         bracket = "]" if include_hi else ")"
-        raise ParameterError(f"gamma must lie in ({lo}, {hi}{bracket}, got {gamma}")
+        raise ParameterError(f"gamma must lie in (0, {hi}{bracket}, got {gamma}")
 
 
 def _lifted(z, blocks, dim, name="z"):
@@ -121,35 +169,25 @@ def mt_step(z, ops, gamma):
     n = len(ops)
     if n < 2:
         raise ParameterError(f"need at least 2 operators, got {n}")
-    _check_gamma(gamma, 0.0, 1.0, include_hi=True)
+    _check_gamma(gamma)
     z = _lifted(z, n - 1, None)
     x = np.empty((n, z.shape[1]))
     x[0] = ops[0].resolvent(z[0])
     for i in range(1, n - 1):
         x[i] = ops[i].resolvent(chain_argument(z[i], z[i - 1], x[i - 1]))
     x[n - 1] = ops[n - 1].resolvent(chain_argument(x[0], z[n - 2], x[n - 2]))
-    if gamma == 1.0:
-        z_next = x[1:] + (z - x[:-1])
-    else:
-        z_next = z + gamma * (x[1:] - x[:-1])
-    return z_next, x
+    return relaxed_update(z, x[1:], x[:-1], gamma), x
 
 
-def _scalar_capable(ops, z):
-    return z.shape[1] == 1 and all(hasattr(op, "resolvent_scalar") for op in ops)
-
-
-def _mt_solve_scalar(ops, gamma, z0, tol, max_iter, stop_on_spread):
-    # Pure-float mirror of the array loop; identical operation order, so the
+def _scalar_sweeps(ops, gamma, z0):
+    # Pure-float mirror of mt_step; identical operation order, so the
     # produced values match the array path and the network simulator exactly.
     n = len(ops)
     z = [float(v) for v in z0[:, 0]]
-    trace = ResidualTrace(["residual", "spread"])
-    converged = False
-    diverged = False
     x = [0.0] * n
-    k = 0
-    for k in range(1, max_iter + 1):
+
+    def step():
+        nonlocal z
         x[0] = ops[0].resolvent_scalar(z[0])
         for i in range(1, n - 1):
             x[i] = ops[i].resolvent_scalar(z[i] + (x[i - 1] - z[i - 1]))
@@ -162,63 +200,35 @@ def _mt_solve_scalar(ops, gamma, z0, tol, max_iter, stop_on_spread):
         for a, b in zip(z, z_next):
             d = a - b
             sq += d * d
-        residual = math.sqrt(sq) / gamma
-        spread = max(x) - min(x)
-        trace.append(k, {"residual": residual, "spread": spread})
         z = z_next
-        if residual > DIVERGENCE_CAP:
-            diverged = True
-            break
-        if (spread if stop_on_spread else residual) <= tol:
-            converged = True
-            break
-    z_arr = np.asarray(z)[:, None]
-    x_arr = np.asarray(x)[:, None]
-    state = SplitState(z=z_arr, x=x_arr, k=k, residual=trace.last("residual"))
-    return SolveReport(
-        converged=converged,
-        iterations=k,
-        final_x=x_arr[0].copy(),
-        trace=trace,
-        consensus_spread=trace.last("spread"),
-        diverged=diverged,
-        state=state,
-    )
+        return {"residual": math.sqrt(sq) / gamma, "spread": max(x) - min(x)}
+
+    return step, lambda: (np.asarray(z)[:, None], np.asarray(x)[:, None], np.array(x[:1]))
 
 
-def _split_solve(ops, gamma, z0, tol, max_iter, dim, stop_on_spread=False):
+def _sweeps(sweep, z, gamma, solution=lambda z, x: x[0].copy()):
+    # step/final pair for an array map ``sweep(z) -> (z_next, x)``
+    x = None
+
+    def step():
+        nonlocal z, x
+        z_next, x = sweep(z)
+        residual = float(np.linalg.norm(z_next - z)) / gamma
+        z = z_next
+        return {"residual": residual, "spread": consensus_spread(x)}
+
+    return step, lambda: (z, x, solution(z, x))
+
+
+def _split_solve(ops, gamma, z0, tol, max_iter, dim, stop="residual"):
     if tol < 0:
         raise ParameterError(f"tol must be nonnegative, got {tol}")
     z = _lifted(z0, len(ops) - 1, dim)
-    if _scalar_capable(ops, z):
-        return _mt_solve_scalar(ops, gamma, z, tol, max_iter, stop_on_spread)
-    trace = ResidualTrace(["residual", "spread"])
-    converged = False
-    diverged = False
-    x = None
-    k = 0
-    for k in range(1, max_iter + 1):
-        z_next, x = mt_step(z, ops, gamma)
-        residual = float(np.linalg.norm(z_next - z)) / gamma
-        spread = consensus_spread(x)
-        trace.append(k, {"residual": residual, "spread": spread})
-        z = z_next
-        if residual > DIVERGENCE_CAP:
-            diverged = True
-            break
-        if (spread if stop_on_spread else residual) <= tol:
-            converged = True
-            break
-    state = SplitState(z=z, x=x, k=k, residual=trace.last("residual"))
-    return SolveReport(
-        converged=converged,
-        iterations=k,
-        final_x=x[0].copy(),
-        trace=trace,
-        consensus_spread=trace.last("spread"),
-        diverged=diverged,
-        state=state,
-    )
+    if z.shape[1] == 1 and all(hasattr(op, "resolvent_scalar") for op in ops):
+        step, final = _scalar_sweeps(ops, gamma, z)
+    else:
+        step, final = _sweeps(lambda z: mt_step(z, ops, gamma), z, gamma)
+    return _solve_report(step, max_iter, lambda row: row[stop] <= tol, final)
 
 
 def mt_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=None):
@@ -244,7 +254,7 @@ def mt_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=None):
         ``final_x`` is the first resolvent output of the last sweep;
         ``converged=False`` (no exception) when ``max_iter`` is exhausted.
     """
-    _check_gamma(gamma, 0.0, 1.0, include_hi=False)
+    _check_gamma(gamma, include_hi=False)
     return _split_solve(ops, gamma, z0, tol, max_iter, dim)
 
 
@@ -265,7 +275,7 @@ def pr_solve(ops, z0=None, tol=1e-8, max_iter=100000, moduli=None, dim=None):
             )
         if any(b <= 0 for b in moduli):
             raise ParameterError("declared moduli must be positive")
-    return _split_solve(ops, 1.0, z0, tol, max_iter, dim, stop_on_spread=True)
+    return _split_solve(ops, 1.0, z0, tol, max_iter, dim, stop="spread")
 
 
 def dr_step(z, op1, op2, gamma):
@@ -274,7 +284,7 @@ def dr_step(z, op1, op2, gamma):
     ``x1 = J_1(z)``, ``x2 = J_2(2 x1 - z)``, ``z_next = z + gamma (x2 - x1)``
     with ``gamma`` in (0, 2).
     """
-    _check_gamma(gamma, 0.0, 2.0, include_hi=False)
+    _check_gamma(gamma, 2.0, include_hi=False)
     z = np.asarray(z, dtype=np.float64)
     x1 = op1.resolvent(z)
     x2 = op2.resolvent(2.0 * x1 - z)
@@ -285,7 +295,7 @@ def ryu3_step(z, ops, gamma):
     """One step of Ryu's three-operator scheme on two lifted blocks."""
     if len(ops) != 3:
         raise ParameterError(f"scheme takes exactly 3 operators, got {len(ops)}")
-    _check_gamma(gamma, 0.0, 1.0, include_hi=False)
+    _check_gamma(gamma, include_hi=False)
     z = _lifted(z, 2, None)
     x = np.empty((3, z.shape[1]))
     x[0] = ops[0].resolvent(z[0])
@@ -297,34 +307,8 @@ def ryu3_step(z, ops, gamma):
 
 def ryu3_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=None):
     """Iterate :func:`ryu3_step`; reporting mirrors :func:`mt_solve`."""
-    z = _lifted(z0, 2, dim)
-    trace = ResidualTrace(["residual", "spread"])
-    converged = False
-    diverged = False
-    x = None
-    k = 0
-    for k in range(1, max_iter + 1):
-        z_next, x = ryu3_step(z, ops, gamma)
-        residual = float(np.linalg.norm(z_next - z)) / gamma
-        spread = consensus_spread(x)
-        trace.append(k, {"residual": residual, "spread": spread})
-        z = z_next
-        if residual > DIVERGENCE_CAP:
-            diverged = True
-            break
-        if residual <= tol:
-            converged = True
-            break
-    state = SplitState(z=z, x=x, k=k, residual=trace.last("residual"))
-    return SolveReport(
-        converged=converged,
-        iterations=k,
-        final_x=x[0].copy(),
-        trace=trace,
-        consensus_spread=trace.last("spread"),
-        diverged=diverged,
-        state=state,
-    )
+    step, final = _sweeps(lambda z: ryu3_step(z, ops, gamma), _lifted(z0, 2, dim), gamma)
+    return _solve_report(step, max_iter, lambda row: row["residual"] <= tol, final)
 
 
 def ryu4_step(z, ops, gamma):
@@ -333,13 +317,14 @@ def ryu4_step(z, ops, gamma):
     Kept as a regression witness: with four merely monotone operators its
     fixed-point iteration can diverge geometrically (rate ``1 + gamma`` on
     the zero-operator instance), although any fixed point it does have still
-    encodes a zero of the sum.  With a 1-strongly monotone fourth operator
-    the iteration becomes averaged and converges.
+    encodes a zero of the sum.  Making the fourth operator strongly monotone
+    does not repair it: the third block keeps the ``1 + gamma`` expansion
+    whatever the modulus, so the iteration still diverges (the strict xfail
+    ``test_ryu4_strongly_monotone_fourth_operator_converges`` records this).
     """
     if len(ops) != 4:
         raise ParameterError(f"scheme takes exactly 4 operators, got {len(ops)}")
-    if gamma <= 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma, math.inf, include_hi=False)
     z = _lifted(z, 3, None)
     x = np.empty((4, z.shape[1]))
     x[0] = ops[0].resolvent(z[0])
@@ -359,73 +344,62 @@ def product_dr_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=Non
     algorithm.  The solution estimate is the blockwise mean of the lifted
     point.
     """
-    _check_gamma(gamma, 0.0, 1.0, include_hi=True)
+    _check_gamma(gamma)
     n = len(ops)
     z = _lifted(z0, n, dim)
-    trace = ResidualTrace(["residual", "spread"])
-    converged = False
-    diverged = False
-    k = 0
-    x = z.copy()
-    for k in range(1, max_iter + 1):
+    x = np.empty_like(z)
+
+    def sweep(z):
         p = z.mean(axis=0)
         refl = 2.0 * p - z
         for i in range(n):
             x[i] = ops[i].resolvent(refl[i])
-        z_next = z + gamma * (x - p)
-        residual = float(np.linalg.norm(z_next - z)) / gamma
-        spread = consensus_spread(x)
-        trace.append(k, {"residual": residual, "spread": spread})
-        z = z_next
-        if residual > DIVERGENCE_CAP:
-            diverged = True
-            break
-        if residual <= tol:
-            converged = True
-            break
-    final_x = z.mean(axis=0)
-    state = SplitState(z=z, x=x, k=k, residual=trace.last("residual"))
-    return SolveReport(
-        converged=converged,
-        iterations=k,
-        final_x=final_x,
-        trace=trace,
-        consensus_spread=trace.last("spread"),
-        diverged=diverged,
-        state=state,
-    )
+        return z + gamma * (x - p), x
+
+    step, final = _sweeps(sweep, z, gamma, lambda z, x: z.mean(axis=0))
+    return _solve_report(step, max_iter, lambda row: row["residual"] <= tol, final)
+
+
+def averagedness_sample(update, gamma, prng, blocks, dim, pairs):
+    """Worst relative slack of the three-term averagedness inequality.
+
+    Draws ``pairs`` random pairs, ``z`` then ``z_bar``, of shape
+    ``(blocks, dim)`` from ``prng``.  With ``T = update`` and ``r = z - Tz``
+    the slack of a pair is
+
+    ``(||Tz - Tz_bar||^2 + (1-gamma)/gamma ||r - r_bar||^2
+    + 1/gamma ||sum_i r_i - sum_i r_bar_i||^2 - ||z - z_bar||^2)
+    / (1 + ||z - z_bar||^2)``,
+
+    which must be nonpositive up to roundoff when ``T`` is averaged.
+    """
+    worst = -np.inf
+    for _ in range(pairs):
+        z = prng.normals(blocks * dim).reshape(blocks, dim)
+        z_bar = prng.normals(blocks * dim).reshape(blocks, dim)
+        tz = update(z)
+        tz_bar = update(z_bar)
+        r = z - tz
+        r_bar = z_bar - tz_bar
+        lhs = float(np.linalg.norm(tz - tz_bar) ** 2)
+        lhs += (1.0 - gamma) / gamma * float(np.linalg.norm(r - r_bar) ** 2)
+        lhs += float(np.linalg.norm((r - r_bar).sum(axis=0)) ** 2) / gamma
+        rhs = float(np.linalg.norm(z - z_bar) ** 2)
+        worst = max(worst, (lhs - rhs) / (1.0 + rhs))
+    return worst
 
 
 def averagedness_check(ops, gamma, trials, dim=None, seed=0):
     """Sample the three-term averagedness inequality on random point pairs.
 
-    For random pairs ``(z, z_bar)`` the quantity
-
-    ``||Tz - Tz_bar||^2 + (1-gamma)/gamma ||r - r_bar||^2
-    + 1/gamma ||sum_i r_i - sum_i r_bar_i||^2 - ||z - z_bar||^2``
-
-    with ``r = z - Tz`` must be nonpositive up to roundoff.  Returns the
-    worst relative slack ``max (lhs - rhs) / (1 + ||z - z_bar||^2)`` over
-    the sampled pairs; a genuinely averaged map keeps this near machine
-    precision, while a non-averaged map exposes positive slack quickly.
+    Returns the worst :func:`averagedness_sample` slack of the map
+    ``z -> mt_step(z, ops, gamma)[0]`` over ``trials`` random pairs; a
+    genuinely averaged map keeps this near machine precision, while a
+    non-averaged map exposes positive slack quickly.
     """
-    _check_gamma(gamma, 0.0, 1.0, include_hi=True)
-    n = len(ops)
+    _check_gamma(gamma)
     if dim is None:
         dim = 1
-    prng = Prng(seed)
-    worst = -np.inf
-    for _ in range(trials):
-        z = prng.normals((n - 1) * dim).reshape(n - 1, dim)
-        z_bar = prng.normals((n - 1) * dim).reshape(n - 1, dim)
-        tz, _ = mt_step(z, ops, gamma)
-        tz_bar, _ = mt_step(z_bar, ops, gamma)
-        r = z - tz
-        r_bar = z_bar - tz_bar
-        lhs = float(np.linalg.norm(tz - tz_bar) ** 2)
-        if gamma < 1.0:
-            lhs += (1.0 - gamma) / gamma * float(np.linalg.norm(r - r_bar) ** 2)
-        lhs += float(np.linalg.norm((r - r_bar).sum(axis=0)) ** 2) / gamma
-        rhs = float(np.linalg.norm(z - z_bar) ** 2)
-        worst = max(worst, (lhs - rhs) / (1.0 + rhs))
-    return worst
+    return averagedness_sample(
+        lambda z: mt_step(z, ops, gamma)[0], gamma, Prng(seed), len(ops) - 1, dim, trials
+    )
