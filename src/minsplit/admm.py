@@ -455,14 +455,11 @@ def prox_compose(block, z, b=None):
 
     Computes ``z + (A w_hat - b)`` where ``w_hat`` solves the block
     subproblem at offset ``z - b`` (``b = 0`` when omitted).  This is the
-    same composition rule the dual operators use; it is exposed separately
-    so it can be certified against closed forms.
+    resolvent of the dual operators of :func:`dual_ops`, exposed with input
+    checks so it can be certified against closed forms.
     """
     z = linalg.as_vector(z, "z")
-    if b is None:
-        return z + block.apply(block.solve(z))
-    b = linalg.as_vector(b, "b")
-    return z + block.apply(block.solve(z - b)) - b
+    return _DualBlockOp(block, None if b is None else linalg.as_vector(b, "b")).resolvent(z)
 
 
 def prox_compose_check(block, z, b, h_fn, seed=0, trials=50):
@@ -471,7 +468,8 @@ def prox_compose_check(block, z, b, h_fn, seed=0, trials=50):
     ``h_fn`` evaluates the function whose proximity is being computed.  For
     the output ``w`` and random competitors ``q`` the gap
     ``h(w) + 0.5||w - z||^2 - h(q) - 0.5||q - z||^2`` must stay nonpositive
-    (up to roundoff).  Returns ``(w, worst_gap)``.
+    (up to roundoff).  Returns ``(w, worst_gap)``; a non-finite gap ends the
+    check with ``worst_gap = inf``.
     """
     z = linalg.as_vector(z, "z")
     w = prox_compose(block, z, b)
@@ -482,6 +480,8 @@ def prox_compose_check(block, z, b, h_fn, seed=0, trials=50):
         scale = 10.0 ** float(prng.uniforms(1)[0] * 2 - 1)
         q = w + scale * prng.normals(z.size)
         gap = value - h_fn(q) - 0.5 * float(np.linalg.norm(q - z) ** 2)
+        if not math.isfinite(gap):
+            return w, math.inf
         worst = max(worst, gap)
     return w, worst
 

@@ -60,6 +60,17 @@ class SchemeMatrices:
             raise ShapeError("L must be strictly lower triangular")
 
 
+def _first_output_scheme(b, low, tx):
+    # the shipped schemes keep z in the update (Tz = I) and return the first
+    # resolvent output as the solution
+    n, d = b.shape
+    sx = np.zeros((1, n))
+    sx[0, 0] = 1.0
+    return SchemeMatrices(
+        n=n, d=d, B=b, L=low, Tz=np.eye(d), Tx=tx, Sz=np.zeros((1, d)), Sx=sx
+    )
+
+
 def mt_scheme(n, gamma=1.0):
     """Matrices of the minimal-memory splitting for ``n >= 2`` operators.
 
@@ -83,18 +94,7 @@ def mt_scheme(n, gamma=1.0):
     for i in range(d):
         tx[i, i] = -gamma
         tx[i, i + 1] = gamma
-    sx = np.zeros((1, n))
-    sx[0, 0] = 1.0
-    return SchemeMatrices(
-        n=n,
-        d=d,
-        B=b,
-        L=low,
-        Tz=np.eye(d),
-        Tx=tx,
-        Sz=np.zeros((1, d)),
-        Sx=sx,
-    )
+    return _first_output_scheme(b, low, tx)
 
 
 def ryu3_scheme(gamma):
@@ -102,16 +102,7 @@ def ryu3_scheme(gamma):
     b = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     low = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
     tx = gamma * np.array([[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
-    return SchemeMatrices(
-        n=3,
-        d=2,
-        B=b,
-        L=low,
-        Tz=np.eye(2),
-        Tx=tx,
-        Sz=np.zeros((1, 2)),
-        Sx=np.array([[1.0, 0.0, 0.0]]),
-    )
+    return _first_output_scheme(b, low, tx)
 
 
 def ryu4_scheme(gamma):
@@ -135,16 +126,7 @@ def ryu4_scheme(gamma):
     tx = gamma * np.array(
         [[-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, 1.0], [0.0, 0.0, -1.0, 1.0]]
     )
-    return SchemeMatrices(
-        n=4,
-        d=3,
-        B=b,
-        L=low,
-        Tz=np.eye(3),
-        Tx=tx,
-        Sz=np.zeros((1, 3)),
-        Sx=np.array([[1.0, 0.0, 0.0, 0.0]]),
-    )
+    return _first_output_scheme(b, low, tx)
 
 
 def eval_scheme(s, z, ops):

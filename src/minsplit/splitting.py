@@ -73,17 +73,15 @@ def chain_argument(lead, z_prev, x_prev):
 def consensus_spread(x):
     """Largest pairwise distance ``max_{i,j} ||x_i - x_j||`` between blocks."""
     x = np.asarray(x, dtype=np.float64)
-    n, dim = x.shape
-    if dim == 1:
+    if x.shape[1] == 1:
         col = x[:, 0]
         return float(col.max() - col.min())
-    if dim <= n:
-        diffs = x[:, None, :] - x[None, :, :]
-        return float(np.sqrt((diffs**2).sum(axis=2)).max())
-    # few long blocks (the ADMM dual estimates): one row against the rows
-    # after it, which avoids allocating the (n, n, dim) difference tensor
-    dists = [np.sqrt(((x[i + 1:] - x[i]) ** 2).sum(axis=1)).max() for i in range(n - 1)]
-    return float(np.max(dists, initial=0.0))
+    # a block of rows against every later row, about 8192 differences at a
+    # time: one (n, n, dim) tensor for small inputs, a row at a time for large
+    rows = max(1, 8192 // x.size)
+    sq = [((x[i:i + rows, None] - x[None, i + 1:]) ** 2).sum(axis=2).ravel()
+          for i in range(0, len(x) - 1, rows)]
+    return float(np.sqrt(np.concatenate([[0.0], *sq]).max()))
 
 
 def iterate(step, trace, max_iter, stop, watch="residual"):
@@ -371,7 +369,8 @@ def averagedness_sample(update, gamma, prng, blocks, dim, pairs):
     + 1/gamma ||sum_i r_i - sum_i r_bar_i||^2 - ||z - z_bar||^2)
     / (1 + ||z - z_bar||^2)``,
 
-    which must be nonpositive up to roundoff when ``T`` is averaged.
+    which must be nonpositive up to roundoff when ``T`` is averaged.  A
+    non-finite slack ends the sampling and returns ``inf``.
     """
     worst = -np.inf
     for _ in range(pairs):
@@ -385,7 +384,10 @@ def averagedness_sample(update, gamma, prng, blocks, dim, pairs):
         lhs += (1.0 - gamma) / gamma * float(np.linalg.norm(r - r_bar) ** 2)
         lhs += float(np.linalg.norm((r - r_bar).sum(axis=0)) ** 2) / gamma
         rhs = float(np.linalg.norm(z - z_bar) ** 2)
-        worst = max(worst, (lhs - rhs) / (1.0 + rhs))
+        slack = (lhs - rhs) / (1.0 + rhs)
+        if not math.isfinite(slack):
+            return math.inf
+        worst = max(worst, slack)
     return worst
 
 

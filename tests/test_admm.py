@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,12 @@ def test_prox_compose_offset_forces_constraint_value(rng):
     _, gap = prox_compose_check(blk, z, b, lambda u: 0.5 * float(u @ u) + float(b @ u),
                                 seed=6, trials=100)
     assert gap <= 1e-8
+
+
+def test_prox_compose_check_fails_on_a_non_finite_function_value(rng):
+    blk = quadratic_block(np.eye(3), np.zeros(3), np.eye(3))
+    _, gap = prox_compose_check(blk, rng.standard_normal(3), None, lambda u: math.nan)
+    assert gap == math.inf
 
 
 def test_prox_compose_zero_map_gives_linear_prox(rng):

@@ -88,6 +88,14 @@ def test_mt_step_fixed_point(rng):
     assert np.linalg.norm(x[0] - inst.solution) <= 1e-8
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (50, 7), (200, 2), (2, 3600), (3, 3600), (40, 150)])
+def test_consensus_spread_equals_the_difference_tensor_bit_for_bit(rng, shape):
+    # one block of rows, several blocks with a remainder, and a row at a time
+    x = 10.0 * rng.standard_normal(shape)
+    diffs = x[:, None, :] - x[None, :, :]
+    assert consensus_spread(x) == float(np.sqrt((diffs**2).sum(axis=2)).max())
+
+
 def test_residual_equals_stencil_norm(rng):
     inst, ops = affine_ops(4, 2, seed=4)
     z = rng.standard_normal((3, 2))

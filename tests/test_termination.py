@@ -8,12 +8,15 @@ import pytest
 from minsplit import (
     MonotoneOp,
     PartialMatrix,
+    Prng,
     ResidualTrace,
     SepProblem,
     ZeroOp,
     admm_solve,
     asalm_solve,
+    averagedness_check,
     cycle_laplacian,
+    eval_scheme,
     gen_consensus,
     gen_rpca,
     identity_prox_block,
@@ -33,7 +36,7 @@ from minsplit import (
 )
 from minsplit.cli import main
 from minsplit.errors import ParameterError
-from minsplit.splitting import DIVERGENCE_CAP, iterate
+from minsplit.splitting import DIVERGENCE_CAP, averagedness_sample, iterate
 
 
 class NanOp(MonotoneOp):
@@ -93,6 +96,20 @@ NON_FINITE_RUNS = {
 def test_non_finite_run_stops_at_first_sweep_as_diverged(name):
     iterations, converged, diverged = NON_FINITE_RUNS[name]()
     assert (iterations, converged, diverged) == (1, False, True)
+
+
+def test_non_finite_map_fails_the_averagedness_check():
+    assert averagedness_check(nan_ops(3), 0.5, 50, dim=2) == math.inf
+
+
+def test_non_finite_scheme_update_fails_the_averagedness_sample():
+    # the sampler behind `minsplit verify`, on the scheme evaluation it runs
+    sch = mt_scheme(3, 0.5)
+    ops = nan_ops(3)
+    slack = averagedness_sample(
+        lambda z: eval_scheme(sch, z, ops)[0], 0.5, Prng(1), sch.d, 2, 10
+    )
+    assert slack == math.inf
 
 
 def _rpca_parts():
