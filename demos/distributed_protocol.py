@@ -3,14 +3,15 @@
 Ten nodes sit on a ring; node i only knows its own operator, nodes 2..10
 each own one auxiliary block.  Per round every node sends exactly two
 messages, one to each neighbour.  The simulator shows that the protocol's
-owned blocks match the centralised iteration bit for bit, and that the
-pipelined schedule (middle nodes start the next round early) changes
-nothing.
+owned blocks match the centralised iteration bit for bit, and that a middle
+node's block pass in round k+1 is exactly its own round-k update, so it
+could leave as soon as that node finishes round k.
 """
 
 import numpy as np
 
 from minsplit import (
+    Z_PASS,
     gathered_z,
     gen_consensus,
     make_nodes,
@@ -40,12 +41,13 @@ for msg in logs[0].messages:
     counts[msg.from_node] = counts.get(msg.from_node, 0) + 1
 print(f"messages per node in round 1: {sorted(counts.values())}")
 
-strict = make_nodes(ops, np.zeros((n - 1, 1)))
-piped = make_nodes(ops, np.zeros((n - 1, 1)))
-run_protocol(strict, 0.9, rounds=200, tol=0.0, mode="strict")
-run_protocol(piped, 0.9, rounds=200, tol=0.0, mode="pipelined")
-dev = float(np.max(np.abs(gathered_z(strict) - gathered_z(piped))))
-print(f"strict vs pipelined schedule after 200 rounds: max deviation {dev}")
+early = all(
+    np.array_equal(m.body, before.z_updates[m.from_node])
+    for before, after in zip(logs, logs[1:])
+    for m in after.messages
+    if m.kind == Z_PASS and m.from_node < n
+)
+print(f"middle block passes equal the previous round's updates: {early}")
 
 round_log_csv(logs[:5], "protocol_rounds.csv")
 print("wrote protocol_rounds.csv (first five rounds of message telemetry)")

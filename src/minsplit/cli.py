@@ -25,7 +25,7 @@ import numpy as np
 
 from . import admm, linalg, problems, scheme, splitting
 from .errors import MinsplitError
-from .trace import format_float, write_csv
+from .trace import format_float, write_csv, write_rows
 
 CONSENSUS_ALGORITHMS = ("mt", "product_dr", "ryu3", "pdhg1", "pdhg2", "pdhg3")
 RPCA_ALGORITHMS = ("admm_avg", "admm_auglag", "asalm")
@@ -91,16 +91,16 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="minsplit", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p):
+    def shared(p, gamma, max_iter):
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-        p.add_argument("--gamma", type=float, default=None)
+        p.add_argument("--max-iter", dest="max_iter", type=int, default=max_iter)
+        p.add_argument("--gamma", type=float, default=gamma)
         p.add_argument("--out", default=None, help="output CSV path")
         p.add_argument("--config", default=None, help="key=value defaults file")
 
     con = sub.add_parser("consensus", help="scalar consensus on a cycle graph")
-    shared(con)
+    shared(con, gamma=0.9, max_iter=50000)
     con.add_argument("--n", type=int, default=10)
     con.add_argument(
         "--algorithms",
@@ -109,7 +109,7 @@ def build_parser():
     )
 
     rp = sub.add_parser("rpca", help="partially observed robust PCA")
-    shared(rp)
+    shared(rp, gamma=0.8, max_iter=2000)
     rp.add_argument("--m", type=int, default=20)
     rp.add_argument("--n", type=int, default=20)
     rp.add_argument("--lam", type=float, default=0.25)
@@ -123,7 +123,7 @@ def build_parser():
                     help="prefix for recovered matrix files")
 
     ver = sub.add_parser("verify", help="certify a splitting scheme numerically")
-    shared(ver)
+    shared(ver, gamma=0.5, max_iter=None)
     ver.add_argument("--scheme-file", dest="scheme_file", default=None)
     ver.add_argument("--builtin", default=None,
                      help="mt:N, dr, ryu3 or ryu4 instead of a file")
@@ -142,18 +142,8 @@ def _parse_algorithms(raw, allowed):
     return names
 
 
-def _int_or(value, default):
-    return default if value is None else int(value)
-
-
-def _float_or(value, default):
-    return default if value is None else float(value)
-
-
 def cmd_consensus(args):
     n = int(args.n)
-    gamma = _float_or(args.gamma, 0.9)
-    max_iter = _int_or(args.max_iter, 50000)
     tol = float(args.tol)
     names = _parse_algorithms(args.algorithms, CONSENSUS_ALGORITHMS)
     if "ryu3" in names and n != 3:
@@ -165,10 +155,10 @@ def cmd_consensus(args):
         if name.startswith("pdhg"):
             lap = problems.cycle_laplacian(n)
             tau, sigma = admm.pdhg_stepsizes(linalg.op_norm(lap), int(name[-1]))
-            report = admm.pdhg_solve(inst.c, lap, tau, sigma, tol=tol, max_iter=max_iter)
+            report = admm.pdhg_solve(inst.c, lap, tau, sigma, tol=tol, max_iter=args.max_iter)
         else:
             solve = getattr(splitting, f"{name}_solve")
-            report = solve(ops, gamma=gamma, tol=tol, max_iter=max_iter, dim=1)
+            report = solve(ops, gamma=args.gamma, tol=tol, max_iter=args.max_iter, dim=1)
         residuals = report.trace.columns["residual"]
         for k, value in enumerate(residuals, start=1):
             rows.append([str(k), name, format_float(value)])
@@ -181,8 +171,6 @@ def cmd_consensus(args):
 
 
 def cmd_rpca(args):
-    gamma = _float_or(args.gamma, 0.8)
-    max_iter = _int_or(args.max_iter, 2000)
     names = _parse_algorithms(args.algorithms, RPCA_ALGORITHMS)
     inst = problems.gen_rpca(int(args.m), int(args.n), args.seed)
     observed = admm.PartialMatrix(values=inst.observed, mask=inst.omega)
@@ -192,16 +180,17 @@ def cmd_rpca(args):
     recovered = {}
     for name in names:
         if name == "asalm":
-            state, trace = admm.asalm_solve(observed, args.lam, args.delta, max_iter=max_iter)
+            state, trace = admm.asalm_solve(observed, args.lam, args.delta,
+                                            max_iter=args.max_iter)
             recovered[name] = (state.low_rank, state.sparse)
         else:
             form = "averaged" if name == "admm_avg" else "auglag"
             report = admm.admm_solve(
                 problem,
                 form=form,
-                gamma=gamma,
+                gamma=args.gamma,
                 tol=0.0,
-                max_iter=max_iter,
+                max_iter=args.max_iter,
                 metric_blocks=(1, 2),
             )
             trace = report.trace
@@ -218,8 +207,7 @@ def cmd_rpca(args):
             for tag, mat in (("L", low_rank), ("S", sparse)):
                 path = f"{args.matrix_out}_{name}_{tag}.txt"
                 with open(path, "w") as fh:
-                    for row in mat:
-                        fh.write(" ".join(format_float(v) for v in row) + "\n")
+                    write_rows(fh, mat)
                 print(f"wrote {path}")
     return 0
 
@@ -237,11 +225,10 @@ def _builtin_scheme(spec_str, gamma):
 
 
 def cmd_verify(args):
-    gamma = _float_or(args.gamma, 0.5)
     if (args.scheme_file is None) == (args.builtin is None):
         raise CliError("bad-scheme", "provide exactly one of --scheme-file/--builtin")
     if args.builtin:
-        sch = _builtin_scheme(args.builtin, gamma)
+        sch = _builtin_scheme(args.builtin, args.gamma)
     else:
         sch = scheme.load_scheme(args.scheme_file)
     print(f"scheme: n={sch.n} operators, d={sch.d} lifted blocks")
@@ -263,7 +250,7 @@ def cmd_verify(args):
         inst = problems.gen_affine_monotone(sch.n, dim, seed=int(prng.uniforms(1)[0] * 2**31))
         ops = inst.operators()
         slack = splitting.averagedness_sample(
-            lambda z: scheme.eval_scheme(sch, z, ops)[0], gamma, prng, sch.d, dim, 10
+            lambda z: scheme.eval_scheme(sch, z, ops)[0], args.gamma, prng, sch.d, dim, 10
         )
         worst_slack = max(worst_slack, slack)
         z_fix, conv, div, _ = scheme.solve_scheme(sch, ops, dim=dim, tol=1e-10,

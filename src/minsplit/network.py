@@ -16,11 +16,8 @@ neighbour.  The arithmetic uses the same primitive grouping as
 :func:`minsplit.splitting.mt_step`, so the concatenated owned blocks
 reproduce the centralised iterates exactly, not merely to tolerance.
 
-The scheduler is synchronous and reliable (no loss, FIFO channels).  The
-``pipelined`` mode demonstrates that nodes ``2..n-1`` may emit the next
-round's block pass right after their step 3, before node ``n`` finishes the
-current round; values and per-round logs are unchanged, only the global
-emission order differs.
+The scheduler is synchronous and reliable (no loss, FIFO channels).  Each
+round opens a fresh mailbox, so no message outlives the round that sent it.
 """
 
 from dataclasses import dataclass, field
@@ -128,23 +125,28 @@ class _Mailbox:
         return queue.pop(0)
 
 
-def _send_block_pass(nodes, mail, log):
+def run_round(nodes, gamma, round_index):
+    """Execute one synchronous protocol round in place.
+
+    Returns a :class:`RoundLog`; raises :class:`ProtocolError` on
+    uninitialised node state or adjacency violations.
+    """
+    _check_gamma(gamma)
+    n = len(nodes)
+    mail = _Mailbox(n)
+    log = RoundLog(round_index=round_index)
     # step 1: owned blocks travel to the predecessor
-    for node in nodes:
+    for node in nodes[1:]:
         if node.owned_z is None:
             raise ProtocolError(f"node {node.node_id} has no initialised block")
         mail.send(log, node.node_id, node.node_id - 1, Z_PASS, node.owned_z)
-
-
-def _resolvent_chain(nodes, gamma, mail, log):
-    # steps 2 and 3: node 1 then the middle nodes, in index order
-    n = len(nodes)
-    z_first = mail.receive(1, 2, Z_PASS)
-    x1 = nodes[0].op.resolvent(z_first)
+    # step 2: node 1 applies its resolvent and sends to both neighbours
+    x1 = nodes[0].op.resolvent(mail.receive(1, 2, Z_PASS))
     nodes[0].last_x = x1
     log.x_values[1] = x1.copy()
     mail.send(log, 1, 2, X_PASS, x1)
     mail.send(log, 1, n, X_PASS, x1)
+    # step 3: the middle nodes, in index order
     for i in range(2, n):
         node = nodes[i - 1]
         z_in = mail.receive(i, i + 1, Z_PASS)
@@ -155,12 +157,8 @@ def _resolvent_chain(nodes, gamma, mail, log):
         mail.send(log, i, i + 1, X_PASS, x_i)
         node.owned_z = relaxed_update(node.owned_z, x_i, x_prev, gamma)
         log.z_updates[i] = node.owned_z.copy()
-
-
-def _closing_step(nodes, gamma, mail, log):
     # step 4: node n updates the last block and reports back to node 1,
     # which gives every node exactly two sends per round
-    n = len(nodes)
     last = nodes[-1]
     x_first = mail.receive(n, 1, X_PASS)
     x_prev = mail.receive(n, n - 1, X_PASS) if n > 2 else x_first
@@ -170,63 +168,29 @@ def _closing_step(nodes, gamma, mail, log):
     last.owned_z = relaxed_update(last.owned_z, x_n, x_prev, gamma)
     log.z_updates[n] = last.owned_z.copy()
     mail.send(log, n, 1, X_PASS, x_n)
-
-
-def run_round(nodes, gamma, round_index):
-    """Execute one synchronous protocol round in place.
-
-    Returns a :class:`RoundLog`; raises :class:`ProtocolError` on
-    uninitialised node state or adjacency violations.
-    """
-    _check_gamma(gamma)
-    mail = _Mailbox(len(nodes))
-    log = RoundLog(round_index=round_index)
-    _send_block_pass(nodes[1:], mail, log)
-    _resolvent_chain(nodes, gamma, mail, log)
-    _closing_step(nodes, gamma, mail, log)
     return log
 
 
-def run_protocol(nodes, gamma, rounds, tol=0.0, mode="strict"):
-    """Run the protocol for up to ``rounds`` rounds.
+def run_protocol(nodes, gamma, rounds, tol=0.0):
+    """Run the protocol for up to ``rounds`` rounds, one :func:`run_round` each.
 
     Stops early once the residual reconstructed from the block updates,
     ``||z_new - z_old|| / gamma``, drops to ``tol`` (set ``tol=0`` to force
-    all rounds).  ``mode`` is ``"strict"`` or ``"pipelined"``; the pipelined
-    scheduler lets nodes 2..n-1 emit the next round's block pass before node
-    n finishes the current round.  Both modes produce identical values and
-    identical per-round logs.
+    all rounds).
 
     Returns ``(report, logs)``.
     """
-    if mode not in ("strict", "pipelined"):
-        raise ParameterError(f"unknown mode {mode!r}")
-    _check_gamma(gamma)
     n = len(nodes)
-    mail = _Mailbox(n)
     logs = []
-    current = RoundLog(round_index=1)
-    _send_block_pass(nodes[1:], mail, current)
     x = None
 
     def step():
-        nonlocal current, x
-        k = current.round_index
+        nonlocal x
         z_before = gathered_z(nodes)
-        _resolvent_chain(nodes, gamma, mail, current)
-        upcoming = RoundLog(round_index=k + 1)
-        if mode == "pipelined" and k < rounds:
-            # overlap: middle nodes already finished step 3, so their block
-            # pass for round k+1 goes out before node n's step 4 below
-            _send_block_pass(nodes[1:-1], mail, upcoming)
-        _closing_step(nodes, gamma, mail, current)
-        logs.append(current)
-        z_after = gathered_z(nodes)
-        residual = float(np.linalg.norm(z_after - z_before)) / gamma
-        x = np.stack([current.x_values[i] for i in range(1, n + 1)])
-        if k < rounds:
-            _send_block_pass(nodes[-1:] if mode == "pipelined" else nodes[1:], mail, upcoming)
-        current = upcoming
+        log = run_round(nodes, gamma, len(logs) + 1)
+        logs.append(log)
+        residual = float(np.linalg.norm(gathered_z(nodes) - z_before)) / gamma
+        x = np.stack([log.x_values[i] for i in range(1, n + 1)])
         return {"residual": residual, "spread": consensus_spread(x)}
 
     report = _solve_report(

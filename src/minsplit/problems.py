@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .operators import AbsValue, AffineOp
-from .trace import format_float
+from .trace import format_float, read_blocks, write_rows
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -224,89 +224,64 @@ def gen_affine_monotone(n_ops, dim, seed, moduli=None):
 # plain-text serialisation for cross-implementation regression
 
 
-def _write_block(fh, arr):
-    arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    for row in arr:
-        fh.write(" ".join(format_float(v) for v in row) + "\n")
-
-
 def save_instance(inst, path):
     """Write an instance as a header line plus whitespace matrix blocks."""
     with open(path, "w") as fh:
         if isinstance(inst, ConsensusInstance):
             fh.write(f"consensus {inst.n} {inst.seed}\n")
-            _write_block(fh, inst.c)
+            write_rows(fh, inst.c)
         elif isinstance(inst, RpcaInstance):
             fh.write(
                 f"rpca {inst.m} {inst.n} {inst.seed} "
                 f"{format_float(inst.sparse_frac)} {format_float(inst.obs_frac)}\n"
             )
-            _write_block(fh, inst.low_rank)
-            _write_block(fh, inst.sparse)
-            _write_block(fh, inst.omega.astype(np.float64))
-            _write_block(fh, inst.observed)
+            for arr in (inst.low_rank, inst.sparse, inst.omega, inst.observed):
+                write_rows(fh, arr)
         elif isinstance(inst, AffineMonotoneInstance):
             fh.write(f"affine {len(inst.mats)} {inst.dim} {inst.seed}\n")
-            _write_block(fh, np.asarray(inst.moduli))
-            _write_block(fh, inst.solution)
+            write_rows(fh, inst.moduli)
+            write_rows(fh, inst.solution)
             for m, c in zip(inst.mats, inst.offsets):
-                _write_block(fh, m)
-                _write_block(fh, c)
+                write_rows(fh, m)
+                write_rows(fh, c)
         else:
             raise ParameterError(f"cannot serialise {type(inst).__name__}")
 
 
-def _read_rows(lines, cursor, rows):
-    data = [np.array([float(v) for v in lines[cursor + r].split()]) for r in range(rows)]
-    return np.vstack(data), cursor + rows
-
-
-def load_instance(path):
-    """Read back an instance written by :func:`save_instance`."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    kind = head[0]
+def _instance_layout(fields):
+    kind, *head = fields
     if kind == "consensus":
-        n, seed = int(head[1]), int(head[2])
-        c, _ = _read_rows(lines, 1, 1)
-        return ConsensusInstance(n=n, c=c[0], seed=seed)
+        n, seed = map(int, head)
+        return [("c", 1, n)], lambda c: ConsensusInstance(n=n, c=c[0], seed=seed)
     if kind == "rpca":
-        m, n, seed = int(head[1]), int(head[2]), int(head[3])
-        sparse_frac, obs_frac = float(head[4]), float(head[5])
-        cursor = 1
-        low_rank, cursor = _read_rows(lines, cursor, m)
-        sparse, cursor = _read_rows(lines, cursor, m)
-        omega, cursor = _read_rows(lines, cursor, m)
-        observed, cursor = _read_rows(lines, cursor, m)
-        return RpcaInstance(
-            m=m,
-            n=n,
-            low_rank=low_rank,
-            sparse=sparse,
-            omega=omega.astype(bool),
-            observed=observed,
-            seed=seed,
-            sparse_frac=sparse_frac,
-            obs_frac=obs_frac,
+        m, n, seed = map(int, head[:3])
+        sparse_frac, obs_frac = map(float, head[3:])
+        shapes = [(name, m, n) for name in ("low_rank", "sparse", "omega", "observed")]
+        return shapes, lambda omega, **blocks: RpcaInstance(
+            m=m, n=n, omega=omega.astype(bool), seed=seed,
+            sparse_frac=sparse_frac, obs_frac=obs_frac, **blocks,
         )
     if kind == "affine":
-        n_ops, dim, seed = int(head[1]), int(head[2]), int(head[3])
-        cursor = 1
-        moduli, cursor = _read_rows(lines, cursor, 1)
-        solution, cursor = _read_rows(lines, cursor, 1)
-        mats, offsets = [], []
-        for _ in range(n_ops):
-            m, cursor = _read_rows(lines, cursor, dim)
-            c, cursor = _read_rows(lines, cursor, 1)
-            mats.append(m)
-            offsets.append(c[0])
-        return AffineMonotoneInstance(
+        n_ops, dim, seed = map(int, head)
+        shapes = [("moduli", 1, n_ops), ("solution", 1, dim)]
+        for i in range(n_ops):
+            shapes += [(f"M{i}", dim, dim), (f"c{i}", 1, dim)]
+        return shapes, lambda moduli, solution, **blocks: AffineMonotoneInstance(
             dim=dim,
-            mats=tuple(mats),
-            offsets=tuple(offsets),
+            mats=tuple(blocks[f"M{i}"] for i in range(n_ops)),
+            offsets=tuple(blocks[f"c{i}"][0] for i in range(n_ops)),
             moduli=tuple(moduli[0]),
             solution=solution[0],
             seed=seed,
         )
-    raise ParameterError(f"unknown instance kind {kind!r}")
+    raise ValueError(f"unknown instance kind {kind!r}")
+
+
+def load_instance(path):
+    """Read back an instance written by :func:`save_instance`.
+
+    The file grammar and errors are those of :func:`minsplit.scheme.load_scheme`:
+    raises :class:`SchemeParseError` with a 1-based line number on malformed
+    input, including mask entries other than 0 and 1.
+    """
+    return read_blocks(path, _instance_layout, masks=("omega",))

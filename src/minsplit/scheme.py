@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAFixedPointError, ParameterError, SchemeParseError, ShapeError
+from .errors import NotAFixedPointError, ParameterError, ShapeError
 from .splitting import _lifted, consensus_spread, iterate
-from .trace import format_float
+from .trace import read_blocks, write_rows
 
 
 @dataclass(frozen=True)
@@ -270,10 +270,14 @@ def save_scheme(s, path):
     with open(path, "w") as fh:
         fh.write(f"{s.n} {s.d}\n")
         for name in ("B", "L", "Tz", "Tx", "Sz", "Sx"):
-            arr = getattr(s, name)
             fh.write("\n")
-            for row in arr:
-                fh.write(" ".join(format_float(v) for v in row) + "\n")
+            write_rows(fh, getattr(s, name))
+
+
+def _scheme_layout(fields):
+    n, d = map(int, fields)
+    shapes = [("B", n, d), ("L", n, n), ("Tz", d, d), ("Tx", d, n), ("Sz", 1, d), ("Sx", 1, n)]
+    return shapes, lambda **blocks: SchemeMatrices(n=n, d=d, **blocks)
 
 
 def load_scheme(path):
@@ -282,48 +286,4 @@ def load_scheme(path):
     Raises :class:`SchemeParseError` with a 1-based line number on malformed
     input.
     """
-    with open(path) as fh:
-        raw = fh.readlines()
-    lines = [
-        (no, line.strip())
-        for no, line in enumerate(raw, start=1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if not lines:
-        raise SchemeParseError(1, "empty scheme file")
-    no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise SchemeParseError(no, f"header must be 'n d', got {header!r}")
-    try:
-        n, d = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise SchemeParseError(no, f"header must contain two integers, got {header!r}")
-    shapes = [("B", n, d), ("L", n, n), ("Tz", d, d), ("Tx", d, n), ("Sz", 1, d), ("Sx", 1, n)]
-    cursor = 1
-    blocks = {}
-    for name, rows, cols in shapes:
-        data = np.zeros((rows, cols))
-        for r in range(rows):
-            if cursor >= len(lines):
-                raise SchemeParseError(
-                    lines[-1][0], f"unexpected end of file while reading {name}"
-                )
-            no, line = lines[cursor]
-            cursor += 1
-            fields = line.split()
-            if len(fields) != cols:
-                raise SchemeParseError(
-                    no, f"{name} row {r + 1} needs {cols} entries, got {len(fields)}"
-                )
-            try:
-                data[r] = [float(f) for f in fields]
-            except ValueError:
-                raise SchemeParseError(no, f"non-numeric entry in {name} row {r + 1}")
-        blocks[name] = data
-    if cursor != len(lines):
-        raise SchemeParseError(lines[cursor][0], "trailing content after Sx block")
-    try:
-        return SchemeMatrices(n=n, d=d, **blocks)
-    except (ShapeError, ParameterError, ValueError) as exc:
-        raise SchemeParseError(lines[0][0], str(exc))
+    return read_blocks(path, _scheme_layout)

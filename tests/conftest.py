@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from minsplit import gen_affine_monotone
+
+# property tests draw the same examples on every run and stay fast
+settings.register_profile("minsplit", derandomize=True, deadline=None, max_examples=50)
+settings.load_profile("minsplit")
 
 
 @pytest.fixture

@@ -147,6 +147,21 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     assert out.read_bytes() == (tmp_path / "out2.csv").read_bytes()
 
 
+def test_subcommand_defaults_and_config_override(tmp_path):
+    from minsplit.cli import _apply_config, build_parser
+
+    defaults = {"consensus": (0.9, 50000), "rpca": (0.8, 2000), "verify": (0.5, None)}
+    for command, want in defaults.items():
+        args = _apply_config(build_parser(), [command])
+        assert (args.gamma, args.max_iter) == want, command
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 0.7\nmax-iter = 40\n")
+    args = _apply_config(build_parser(), ["rpca", "--config", str(cfg)])
+    assert (args.gamma, args.max_iter) == (0.7, 40)
+    args = _apply_config(build_parser(), ["rpca", "--config", str(cfg), "--gamma", "0.6"])
+    assert (args.gamma, args.max_iter) == (0.6, 40)
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")

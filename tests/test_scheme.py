@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from minsplit import (
     KernelWitness,
@@ -252,6 +254,45 @@ def test_scheme_parse_reports_line_numbers(tmp_path):
     with pytest.raises(SchemeParseError) as err:
         load_scheme(path)
     assert err.value.line_no >= 1
+
+
+def test_scheme_parse_skips_comments_and_rejects_trailing(tmp_path):
+    path = tmp_path / "dr.txt"
+    save_scheme(mt_scheme(2, 0.5), path)
+    text = path.read_text()
+    path.write_text("# Douglas-Rachford\n" + text.replace("\n\n", "\n# block\n\n"))
+    loaded = load_scheme(path)
+    assert np.array_equal(loaded.Tx, mt_scheme(2, 0.5).Tx)
+    path.write_text(text + "0.0\n")
+    with pytest.raises(SchemeParseError) as err:
+        load_scheme(path)
+    assert err.value.line_no == len(text.splitlines()) + 1
+
+
+def test_scheme_parse_reports_inconsistent_blocks_at_header(tmp_path):
+    path = tmp_path / "upper.txt"
+    path.write_text("# upper triangular L\n2 1\n1\n-1\n0 1\n0 0\n1\n-1 1\n0\n1 0\n")
+    with pytest.raises(SchemeParseError) as err:
+        load_scheme(path)
+    assert err.value.line_no == 2 and "lower triangular" in str(err.value)
+
+
+@given(n=st.integers(1, 5), d=st.integers(1, 5), data=st.data())
+def test_scheme_round_trip_is_exact(tmp_path_factory, n, d, data):
+    def matrix(rows, cols):
+        entries = st.floats(allow_nan=False, allow_infinity=False)
+        values = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        return np.array(values, dtype=np.float64).reshape(rows, cols)
+
+    s = SchemeMatrices(n=n, d=d, B=matrix(n, d), L=np.tril(matrix(n, n), -1),
+                       Tz=matrix(d, d), Tx=matrix(d, n), Sz=matrix(1, d), Sx=matrix(1, n))
+    tmp = tmp_path_factory.mktemp("scheme")
+    save_scheme(s, tmp / "s.txt")
+    loaded = load_scheme(tmp / "s.txt")
+    save_scheme(loaded, tmp / "again.txt")
+    assert (tmp / "again.txt").read_bytes() == (tmp / "s.txt").read_bytes()
+    for name in ("B", "L", "Tz", "Tx", "Sz", "Sx"):
+        assert np.array_equal(getattr(s, name), getattr(loaded, name)), name
 
 
 def test_solve_scheme_converges_and_diverges():
