@@ -35,7 +35,7 @@ from .operators import (
     project_partial_ball,
 )
 from .problems import Prng
-from .splitting import _check_gamma, consensus_spread, iterate
+from .splitting import _check_gamma, consensus_spread, iterate, stop_at_tol
 from .trace import ResidualTrace
 
 
@@ -338,7 +338,8 @@ def admm_solve(
         ``z0`` array for the averaged form, ``(mu0, w0)`` for the augmented
         Lagrangian form; zeros by default.
     tol : float
-        Threshold on ``||sum_i A_i w_i - b||``.
+        Threshold on ``||sum_i A_i w_i - b||``; ``tol = 0`` runs all
+        ``max_iter`` sweeps.
     max_iter : int
     metric_blocks : sequence of int or None
         Block indices entering the relative-change metric (all by default).
@@ -346,8 +347,9 @@ def admm_solve(
     Returns
     -------
     AdmmReport
-        With a per-iteration trace of ``primal_residual``,
-        ``relative_change`` and ``dual_spread``; ``converged=False``
+        With a per-iteration trace of ``primal_residual`` and
+        ``relative_change``, and ``kkt.dual_spread`` the consensus spread of
+        the final dual estimates ``duals``; ``converged=False``
         (without exception) when the iteration budget runs out, and
         ``diverged=True`` with ``kkt=None`` when the primal residual turns
         non-finite or exceeds the divergence cap.
@@ -358,7 +360,7 @@ def admm_solve(
     n = p.n
     m = p.b.size
     indices = list(range(n)) if metric_blocks is None else list(metric_blocks)
-    trace = ResidualTrace(["primal_residual", "relative_change", "dual_spread"])
+    trace = ResidualTrace(["primal_residual", "relative_change"])
     z = mu = duals = None
     w_prev = [np.zeros(blk.w_dim) for blk in p.blocks]
     if form == "averaged":
@@ -386,20 +388,15 @@ def admm_solve(
             duals = mu.copy()
         rel = _relative_change(w, w_prev, indices)
         w_prev = w
-        return {
-            "primal_residual": float(np.linalg.norm(sum(s) - p.b)),
-            "relative_change": rel,
-            "dual_spread": consensus_spread(duals),
-        }
+        return {"primal_residual": float(np.linalg.norm(sum(s) - p.b)), "relative_change": rel}
 
     k, converged, diverged = iterate(
-        step, trace, max_iter, lambda row: row["primal_residual"] <= tol,
-        watch="primal_residual",
+        step, trace, max_iter, stop_at_tol(tol, "primal_residual"), watch="primal_residual"
     )
     kkt = None
     if not diverged:
         kkt = kkt_residual(p, w_prev, duals[-1])
-        kkt = replace(kkt, dual_spread=trace.last("dual_spread"))
+        kkt = replace(kkt, dual_spread=consensus_spread(duals))
     return AdmmReport(
         converged=converged,
         iterations=k,
@@ -579,8 +576,7 @@ def asalm_solve(observed, lam, delta, max_iter=2000, tol=0.0):
             "primal_residual_omega": float(np.linalg.norm(resid[observed.mask])),
         }
 
-    iterate(step, trace, max_iter, lambda row: tol > 0.0 and row["relative_change"] <= tol,
-            watch="relative_change")
+    iterate(step, trace, max_iter, stop_at_tol(tol, "relative_change"), watch="relative_change")
     return state, trace
 
 
@@ -670,7 +666,7 @@ def pdhg_solve(c, lap, tau, sigma, x0=None, y0=None, tol=1e-8, max_iter=100000):
         x, y = x_next, y_next
         return {"residual": residual}
 
-    k, converged, diverged = iterate(step, trace, max_iter, lambda row: row["residual"] <= tol)
+    k, converged, diverged = iterate(step, trace, max_iter, stop_at_tol(tol))
     return PdhgReport(
         converged=converged, iterations=k, x=x, y=y, trace=trace, diverged=diverged
     )

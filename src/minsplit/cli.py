@@ -123,7 +123,7 @@ def build_parser():
                     help="prefix for recovered matrix files")
 
     ver = sub.add_parser("verify", help="certify a splitting scheme numerically")
-    shared(ver, gamma=0.5, max_iter=None)
+    shared(ver, gamma=0.5, max_iter=20000)
     ver.add_argument("--scheme-file", dest="scheme_file", default=None)
     ver.add_argument("--builtin", default=None,
                      help="mt:N, dr, ryu3 or ryu4 instead of a file")
@@ -254,7 +254,7 @@ def cmd_verify(args):
         )
         worst_slack = max(worst_slack, slack)
         z_fix, conv, div, _ = scheme.solve_scheme(sch, ops, dim=dim, tol=1e-10,
-                                                  max_iter=20000)
+                                                  max_iter=args.max_iter)
         diverged_any = diverged_any or div
         if conv:
             fixed_points_found += 1

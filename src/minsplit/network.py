@@ -21,6 +21,7 @@ round opens a fresh mailbox, so no message outlives the round that sent it.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .splitting import (
     _lifted,
     _solve_report,
     chain_argument,
-    consensus_spread,
+    consensus_spread,  # unused here, kept as this module's public name
     relaxed_update,
 )
 from .trace import format_float, write_csv
@@ -39,9 +40,8 @@ Z_PASS = "z"
 X_PASS = "x"
 
 
-@dataclass(frozen=True)
-class Message:
-    """One payload passed between adjacent nodes in a given round."""
+class Message(NamedTuple):
+    """One payload passed between adjacent nodes in a given round (immutable)."""
 
     from_node: int
     to_node: int
@@ -106,13 +106,8 @@ class _Mailbox:
             raise ProtocolError(
                 f"node {from_node} may not message node {to_node} on the cycle"
             )
-        msg = Message(
-            from_node=from_node,
-            to_node=to_node,
-            kind=kind,
-            body=np.asarray(body, dtype=np.float64).copy(),
-            round_index=log.round_index,
-        )
+        msg = Message(from_node, to_node, kind, np.array(body, dtype=np.float64),
+                      log.round_index)
         log.messages.append(msg)
         self.queues.setdefault((from_node, to_node, kind), []).append(msg.body)
 
@@ -175,31 +170,29 @@ def run_protocol(nodes, gamma, rounds, tol=0.0):
     """Run the protocol for up to ``rounds`` rounds, one :func:`run_round` each.
 
     Stops early once the residual reconstructed from the block updates,
-    ``||z_new - z_old|| / gamma``, drops to ``tol`` (set ``tol=0`` to force
-    all rounds).
+    ``||z_new - z_old|| / gamma``, drops to ``tol`` (``tol=0`` runs all
+    rounds).  The report's ``state.x`` stacks the last round's outputs.
 
     Returns ``(report, logs)``.
     """
     n = len(nodes)
     logs = []
-    x = None
+    z = gathered_z(nodes)
 
     def step():
-        nonlocal x
-        z_before = gathered_z(nodes)
+        nonlocal z
         log = run_round(nodes, gamma, len(logs) + 1)
         logs.append(log)
-        residual = float(np.linalg.norm(gathered_z(nodes) - z_before)) / gamma
-        x = np.stack([log.x_values[i] for i in range(1, n + 1)])
-        return {"residual": residual, "spread": consensus_spread(x)}
+        z_next = gathered_z(nodes)
+        residual = float(np.linalg.norm(z_next - z)) / gamma
+        z = z_next
+        return {"residual": residual}
 
-    report = _solve_report(
-        step,
-        rounds,
-        lambda row: tol > 0.0 and row["residual"] <= tol,
-        lambda: (gathered_z(nodes), x, x[0].copy()),
-    )
-    return report, logs
+    def final():
+        x = np.stack([logs[-1].x_values[i] for i in range(1, n + 1)])
+        return z, x, x[0].copy()
+
+    return _solve_report(step, rounds, tol, final), logs
 
 
 def round_log_csv(logs, path):

@@ -162,11 +162,11 @@ class AbsValue(MonotoneOp):
         shrunk = abs(t) - step
         if shrunk < 0.0:
             shrunk = 0.0
-        if t > 0.0:
-            return c + shrunk
         if t < 0.0:
             return c - shrunk
-        return c
+        # t > 0, or t = +-0 with shrunk = 0.0 (c + 0.0 turns c = -0.0 into
+        # +0.0), or t NaN with shrunk NaN: the bits of prox_abs in each case
+        return c + shrunk
 
 
 class AffineOp(MonotoneOp):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFixedPointError, ParameterError, ShapeError
-from .splitting import _lifted, consensus_spread, iterate
+from .splitting import _lifted, consensus_spread, iterate, stop_at_tol
 from .trace import read_blocks, write_rows
 
 
@@ -247,7 +247,7 @@ def solve_scheme(s, ops, z0=None, tol=1e-10, max_iter=100000, dim=None):
     """Generic fixed-point iteration ``z <- Tz z + Tx x`` for a scheme.
 
     Returns ``(z, converged, diverged, iterations)``; ``converged`` means
-    ``||T(z) - z|| <= tol``.
+    ``||T(z) - z|| <= tol`` (``tol = 0`` runs all ``max_iter`` sweeps).
     """
     z = _lifted(z0, s.d, dim, name="z0")
 
@@ -258,9 +258,8 @@ def solve_scheme(s, ops, z0=None, tol=1e-10, max_iter=100000, dim=None):
         z = z_next
         return {"delta": delta}
 
-    k, converged, diverged = iterate(
-        step, None, max_iter, lambda row: row["delta"] <= tol, watch="delta"
-    )
+    stop = stop_at_tol(tol, "delta")
+    k, converged, diverged = iterate(step, None, max_iter, stop, watch="delta")
     return z, converged, diverged, k
 
 

@@ -37,7 +37,13 @@ class SplitState:
 
 @dataclass
 class SolveReport:
-    """Outcome of a fixed-point solve."""
+    """Outcome of a fixed-point solve.
+
+    ``trace`` holds one ``residual`` per sweep, plus ``spread`` (the
+    consensus spread of that sweep's resolvent outputs) when the stop test
+    reads it, as in :func:`pr_solve`.  ``consensus_spread`` is the spread of
+    the final resolvent outputs ``state.x``.
+    """
 
     converged: bool
     iterations: int
@@ -110,17 +116,29 @@ def iterate(step, trace, max_iter, stop, watch="residual"):
     return max_iter, False, False
 
 
-def _solve_report(step, max_iter, stop, final):
-    # iterate on a residual/spread trace; final() gives (z, x, final_x)
-    trace = ResidualTrace(["residual", "spread"])
-    k, converged, diverged = iterate(step, trace, max_iter, stop)
+def stop_at_tol(tol, column="residual"):
+    """The stop test ``row[column] <= tol`` of every tolerance-driven solver.
+
+    ``tol = 0`` never stops, so the whole iteration budget runs even when a
+    sweep lands exactly on a fixed point.  Raises :class:`ParameterError`
+    when ``tol < 0``.
+    """
+    if tol < 0:
+        raise ParameterError(f"tol must be nonnegative, got {tol}")
+    return lambda row: tol > 0.0 and row[column] <= tol
+
+
+def _solve_report(step, max_iter, tol, final, stop="residual"):
+    # iterate until row[stop] <= tol; final() gives (z, x, final_x)
+    trace = ResidualTrace(["residual"] if stop == "residual" else ["residual", stop])
+    k, converged, diverged = iterate(step, trace, max_iter, stop_at_tol(tol, stop))
     z, x, final_x = final()
     return SolveReport(
         converged=converged,
         iterations=k,
         final_x=final_x,
         trace=trace,
-        consensus_spread=trace.last("spread"),
+        consensus_spread=trace.last(stop) if stop == "spread" else consensus_spread(x),
         diverged=diverged,
         state=SplitState(z=z, x=x, k=k, residual=trace.last("residual")),
     )
@@ -177,7 +195,7 @@ def mt_step(z, ops, gamma):
     return relaxed_update(z, x[1:], x[:-1], gamma), x
 
 
-def _scalar_sweeps(ops, gamma, z0):
+def _scalar_sweeps(ops, gamma, z0, spread):
     # Pure-float mirror of mt_step; identical operation order, so the
     # produced values match the array path and the network simulator exactly.
     n = len(ops)
@@ -199,34 +217,38 @@ def _scalar_sweeps(ops, gamma, z0):
             d = a - b
             sq += d * d
         z = z_next
-        return {"residual": math.sqrt(sq) / gamma, "spread": max(x) - min(x)}
+        row = {"residual": math.sqrt(sq) / gamma}
+        if spread:
+            row["spread"] = max(x) - min(x)
+        return row
 
     return step, lambda: (np.asarray(z)[:, None], np.asarray(x)[:, None], np.array(x[:1]))
 
 
-def _sweeps(sweep, z, gamma, solution=lambda z, x: x[0].copy()):
+def _sweeps(sweep, z, gamma, solution=lambda z, x: x[0].copy(), spread=False):
     # step/final pair for an array map ``sweep(z) -> (z_next, x)``
     x = None
 
     def step():
         nonlocal z, x
         z_next, x = sweep(z)
-        residual = float(np.linalg.norm(z_next - z)) / gamma
+        row = {"residual": float(np.linalg.norm(z_next - z)) / gamma}
         z = z_next
-        return {"residual": residual, "spread": consensus_spread(x)}
+        if spread:
+            row["spread"] = consensus_spread(x)
+        return row
 
     return step, lambda: (z, x, solution(z, x))
 
 
 def _split_solve(ops, gamma, z0, tol, max_iter, dim, stop="residual"):
-    if tol < 0:
-        raise ParameterError(f"tol must be nonnegative, got {tol}")
     z = _lifted(z0, len(ops) - 1, dim)
+    spread = stop == "spread"
     if z.shape[1] == 1 and all(hasattr(op, "resolvent_scalar") for op in ops):
-        step, final = _scalar_sweeps(ops, gamma, z)
+        step, final = _scalar_sweeps(ops, gamma, z, spread)
     else:
-        step, final = _sweeps(lambda z: mt_step(z, ops, gamma), z, gamma)
-    return _solve_report(step, max_iter, lambda row: row[stop] <= tol, final)
+        step, final = _sweeps(lambda z: mt_step(z, ops, gamma), z, gamma, spread=spread)
+    return _solve_report(step, max_iter, tol, final, stop)
 
 
 def mt_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=None):
@@ -241,7 +263,8 @@ def mt_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=None):
     z0 : ndarray or None
         Initial lifted point; defaults to all zeros (``dim`` then required).
     tol : float
-        Threshold on the residual ``||z_next - z|| / gamma``.
+        Threshold on the residual ``||z_next - z|| / gamma``; ``tol = 0``
+        runs all ``max_iter`` sweeps (see :func:`stop_at_tol`).
     max_iter : int
     dim : int or None
         Block dimension when ``z0`` is omitted.
@@ -306,7 +329,7 @@ def ryu3_step(z, ops, gamma):
 def ryu3_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=None):
     """Iterate :func:`ryu3_step`; reporting mirrors :func:`mt_solve`."""
     step, final = _sweeps(lambda z: ryu3_step(z, ops, gamma), _lifted(z0, 2, dim), gamma)
-    return _solve_report(step, max_iter, lambda row: row["residual"] <= tol, final)
+    return _solve_report(step, max_iter, tol, final)
 
 
 def ryu4_step(z, ops, gamma):
@@ -355,7 +378,7 @@ def product_dr_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=Non
         return z + gamma * (x - p), x
 
     step, final = _sweeps(sweep, z, gamma, lambda z, x: z.mean(axis=0))
-    return _solve_report(step, max_iter, lambda row: row["residual"] <= tol, final)
+    return _solve_report(step, max_iter, tol, final)
 
 
 def averagedness_sample(update, gamma, prng, blocks, dim, pairs):

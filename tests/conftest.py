@@ -18,3 +18,16 @@ def affine_ops(n, dim, seed, moduli=None):
     """Random affine monotone tuple plus its recorded zero."""
     inst = gen_affine_monotone(n, dim, seed, moduli=moduli)
     return inst, inst.operators()
+
+
+def count_calls(monkeypatch, owner, attr):
+    """Rebind ``owner.attr`` to a wrapper that records each call; returns the record."""
+    calls = []
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls

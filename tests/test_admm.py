@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import minsplit.admm
 from minsplit import (
     PartialMatrix,
     SepProblem,
@@ -13,6 +14,7 @@ from minsplit import (
     asalm_solve,
     asalm_step,
     averaged_to_auglag,
+    consensus_spread,
     cycle_laplacian,
     dual_ops,
     firmness_gap,
@@ -33,6 +35,8 @@ from minsplit import (
     rpca_problem,
 )
 from minsplit.errors import ParameterError, SubproblemError
+
+from conftest import count_calls
 
 
 def quad_problem(n_blocks, m, seed, ridge=0.4):
@@ -339,6 +343,16 @@ def test_asalm_relative_change_decays():
     state, trace = asalm_solve(observed, 0.25, 0.1, max_iter=400)
     assert trace.last("relative_change") <= 1e-5
     assert trace.last("primal_residual_omega") <= 1e-4
+
+
+@pytest.mark.parametrize("form", ["averaged", "auglag"])
+def test_dual_spread_is_computed_once_from_the_final_duals(monkeypatch, form):
+    p, _ = quad_problem(3, 4, seed=6)
+    calls = count_calls(monkeypatch, minsplit.admm, "consensus_spread")
+    rep = admm_solve(p, form=form, gamma=0.8, tol=0.0, max_iter=30)
+    assert rep.iterations == 30 and len(calls) == 1
+    assert rep.trace.column_names == ["primal_residual", "relative_change"]
+    assert rep.kkt.dual_spread == consensus_spread(rep.duals)
 
 
 def test_rpca_admm_boundedness_and_determinism():

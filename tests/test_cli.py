@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import pytest
 
 from minsplit import mt_scheme, save_scheme
 from minsplit.cli import main
@@ -92,6 +95,43 @@ def test_verify_builtin_ryu4_fails_averagedness(capsys):
     assert "overall: FAIL" in stdout
 
 
+def _fixed_points_line(stdout):
+    return next(line for line in stdout.splitlines() if line.startswith("divergence:"))
+
+
+def test_verify_honours_max_iter(capsys):
+    args = ("verify", "--builtin", "mt:4", "--trials", "30", "--dim", "3")
+    _, full, _ = run_cli(capsys, *args)
+    rc, cut, _ = run_cli(capsys, *args, "--max-iter", "1")
+    assert "(0 fixed points reached)" not in _fixed_points_line(full)
+    assert _fixed_points_line(cut) == "divergence: not detected (0 fixed points reached)"
+    assert rc == 1
+
+
+def test_verify_zero_budget_exits_2_with_parameter_error(capsys):
+    rc, _, err = run_cli(capsys, "verify", "--builtin", "mt:4", "--max-iter", "0")
+    assert rc == 2
+    assert err == "error: ParameterError: max_iter must be >= 1, got 0\n"
+
+
+# SHA-256 of the CSVs as first written.  mt at dim=1 runs in Python floats,
+# ryu3 in elementwise ufuncs and the norm of a 2-vector, so the bytes depend
+# on no matrix kernel and must not move when a change only makes solvers faster
+GOLDEN_CSV_SHA256 = {
+    "mt": "83da2aa35052ceef43dcf1cce21ae77c9a5103ec277cd6f1e858261fb91360e9",
+    "mt,ryu3": "07135df2055b24c8f2ba1f0cbf86afecf6cd356d08a3ad04c16014eaddd1e0af",
+}
+
+
+@pytest.mark.parametrize("n, algorithms", [(10, "mt"), (3, "mt,ryu3")])
+def test_consensus_csv_bytes_are_golden(tmp_path, capsys, n, algorithms):
+    out = tmp_path / "golden.csv"
+    rc, _, _ = run_cli(capsys, "consensus", "--n", str(n), "--algorithms", algorithms,
+                       "--out", str(out))
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[algorithms]
+
+
 def test_verify_rejects_underlifted_scheme(tmp_path, capsys):
     # a syntactically valid scheme with d = n - 2 must fail the dimension check
     path = tmp_path / "under.txt"
@@ -150,7 +190,7 @@ def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
 def test_subcommand_defaults_and_config_override(tmp_path):
     from minsplit.cli import _apply_config, build_parser
 
-    defaults = {"consensus": (0.9, 50000), "rpca": (0.8, 2000), "verify": (0.5, None)}
+    defaults = {"consensus": (0.9, 50000), "rpca": (0.8, 2000), "verify": (0.5, 20000)}
     for command, want in defaults.items():
         args = _apply_config(build_parser(), [command])
         assert (args.gamma, args.max_iter) == want, command

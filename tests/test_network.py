@@ -94,6 +94,17 @@ def test_message_audit():
         assert len(log.messages) == 2 * n
 
 
+def test_messages_are_immutable_copies():
+    _, ops = affine_ops(3, 2, seed=77)
+    nodes = make_nodes(ops, np.zeros((2, 2)))
+    _, logs = run_protocol(nodes, 0.9, rounds=2, tol=0.0)
+    msg = next(m for m in logs[-1].messages if m.from_node == 1)
+    with pytest.raises(AttributeError):
+        msg.body = np.zeros(2)
+    assert np.array_equal(msg.body, nodes[0].last_x)
+    assert not np.shares_memory(msg.body, nodes[0].last_x)
+
+
 def test_middle_block_pass_is_last_rounds_update():
     # a middle node's next block pass may leave right after its own step 3:
     # the body it sends in round k+1 is its round-k update, bit for bit
@@ -115,6 +126,7 @@ def test_middle_block_pass_is_last_rounds_update():
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=2, gamma=0.9, dim=3, rounds=30, seed=0)
+@example(n=2, gamma=4.51e-92, dim=1, rounds=2, seed=0)
 def test_protocol_equals_centralised_for_any_cycle(n, gamma, dim, rounds, seed):
     ops = gen_affine_monotone(n, dim, seed).operators()
     z0 = np.random.default_rng(seed).standard_normal((n - 1, dim))
@@ -125,9 +137,10 @@ def test_protocol_equals_centralised_for_any_cycle(n, gamma, dim, rounds, seed):
         z, _ = mt_step(z, ops, gamma)
         assert np.array_equal(np.stack([log.z_updates[i] for i in range(2, n + 1)]), z)
     if gamma < 1.0:
-        # mt_solve admits gamma < 1 only; at tol=0 it may stop early at an
-        # exact fixed point, where further rounds leave z unchanged
+        # mt_solve admits gamma < 1 only; at tol=0 both run every sweep, also
+        # past an exact fixed point (the tiny-gamma example reaches one)
         central = mt_solve(ops, gamma=gamma, z0=z0, tol=0.0, max_iter=rounds)
+        assert central.iterations == report.iterations == rounds
         assert np.array_equal(report.state.z, central.state.z)
 
 

@@ -1,5 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from minsplit import (
     AbsValue,
@@ -63,6 +68,23 @@ def test_prox_abs_scalar_path_matches_array_path(rng):
         y = float(rng.standard_normal())
         step = float(rng.uniform(0.1, 3.0))
         assert op.resolvent_scalar(y, step) == op.resolvent(np.array([y]), step)[0]
+
+
+def _same_bits(a, b):
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@given(y=st.floats(), c=st.floats(), step=st.floats(min_value=0.0, exclude_min=True))
+@example(y=math.nan, c=0.1, step=1.0)
+@example(y=-0.0, c=-0.0, step=1.0)
+@example(y=0.0, c=-0.0, step=1.0)
+@example(y=math.inf, c=math.inf, step=1.0)
+@example(y=-math.inf, c=2.0, step=math.inf)
+def test_prox_abs_scalar_path_equals_array_path_bit_for_bit(y, c, step):
+    op = AbsValue(np.array([c]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        array = float(op.resolvent(np.array([y]), step)[0])
+    assert _same_bits(op.resolvent_scalar(y, step), array)
 
 
 def test_prox_abs_rejects_bad_step():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import minsplit.splitting
 from minsplit import (
     AffineOp,
     AffineSetIndicator,
@@ -11,17 +12,19 @@ from minsplit import (
     consensus_spread,
     dr_step,
     gen_consensus,
+    make_nodes,
     mt_solve,
     mt_step,
     pr_solve,
     product_dr_solve,
+    run_protocol,
     ryu3_solve,
     ryu3_step,
     ryu4_step,
 )
 from minsplit.errors import ParameterError, ShapeError
 
-from conftest import affine_ops
+from conftest import affine_ops, count_calls
 
 
 def zeros_ops(n):
@@ -404,3 +407,43 @@ def test_dr_two_term_inequality_gamma_up_to_two(rng):
             lhs += (2.0 - gamma) / gamma * np.linalg.norm(r - r_bar) ** 2
             rhs = np.linalg.norm(z - z_bar) ** 2
             assert lhs <= rhs + 1e-9 * (1.0 + rhs)
+
+
+# ---------------------------------------------------------------------------
+# diagnostics: one consensus spread per solve, unless the stop test reads it
+
+
+ONE_SPREAD_SOLVES = {
+    "mt_solve": lambda ops, z0: mt_solve(ops, z0=z0, tol=0.0, max_iter=7),
+    "ryu3_solve": lambda ops, z0: ryu3_solve(ops, z0=z0, tol=0.0, max_iter=7),
+    "product_dr_solve": lambda ops, z0: product_dr_solve(ops, dim=2, tol=0.0, max_iter=7),
+    "run_protocol": lambda ops, z0: run_protocol(make_nodes(ops, z0), 0.9, 7)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SPREAD_SOLVES))
+def test_spread_is_computed_once_from_the_final_outputs(monkeypatch, name):
+    _, ops = affine_ops(3, 2, seed=41)
+    z0 = np.arange(4.0).reshape(2, 2)
+    calls = count_calls(monkeypatch, minsplit.splitting, "consensus_spread")
+    report = ONE_SPREAD_SOLVES[name](ops, z0)
+    assert report.iterations == 7
+    assert len(calls) == 1
+    assert report.trace.column_names == ["residual"]
+    assert report.consensus_spread == consensus_spread(report.state.x)
+
+
+def test_pr_solve_computes_the_spread_its_stop_test_reads(monkeypatch):
+    _, ops = affine_ops(3, 2, seed=42, moduli=[0.0, 1.0, 1.0])
+    calls = count_calls(monkeypatch, minsplit.splitting, "consensus_spread")
+    report = pr_solve(ops, dim=2, tol=1e-12, max_iter=40)
+    assert len(calls) == report.iterations
+    assert report.trace.column_names == ["residual", "spread"]
+    assert report.consensus_spread == report.trace.last("spread")
+    assert report.consensus_spread == consensus_spread(report.state.x)
+
+
+def test_scalar_path_reports_the_spread_of_its_final_outputs():
+    report = mt_solve(gen_consensus(10, 3).operators(), dim=1, tol=1e-8, max_iter=300)
+    assert report.trace.column_names == ["residual"]
+    assert report.consensus_spread == consensus_spread(report.state.x)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from minsplit import (
+    AbsValue,
     MonotoneOp,
     PartialMatrix,
     Prng,
@@ -23,6 +24,7 @@ from minsplit import (
     make_nodes,
     mt_scheme,
     mt_solve,
+    mt_step,
     op_norm,
     pdhg_solve,
     pdhg_stepsizes,
@@ -96,6 +98,16 @@ NON_FINITE_RUNS = {
 def test_non_finite_run_stops_at_first_sweep_as_diverged(name):
     iterations, converged, diverged = NON_FINITE_RUNS[name]()
     assert (iterations, converged, diverged) == (1, False, True)
+
+
+def test_nan_start_reaches_the_scalar_paths_outputs():
+    # AbsValue's pure-float resolvent must carry NaN through, as prox_abs does
+    ops = [AbsValue(0.1), AbsValue(0.2), AbsValue(0.3)]
+    z0 = np.array([[np.nan], [0.0]])
+    report = mt_solve(ops, z0=z0, max_iter=50)
+    assert _report(report) == (1, False, True)
+    assert np.isnan(report.state.x).all()
+    assert np.array_equal(report.state.x, mt_step(z0, ops, 0.9)[1], equal_nan=True)
 
 
 def test_non_finite_map_fails_the_averagedness_check():
