@@ -18,19 +18,19 @@ from minsplit import (
     eval_scheme,
     gen_affine_monotone,
     kernel_residuals,
+    lifting_ok,
     mt_scheme,
     mt_solve,
     ryu4_scheme,
     ryu4_step,
     save_scheme,
-    validate_lifting,
     witness_from_point,
 )
 
 gamma = 0.9
 scheme = mt_scheme(4, gamma=gamma)
 print(f"minimal-memory scheme, n={scheme.n}, d={scheme.d}")
-print(f"  lifting dimension admissible: {validate_lifting(scheme)}")
+print(f"  lifting dimension admissible: {lifting_ok(scheme.n, scheme.d)}")
 
 inst = gen_affine_monotone(4, 3, seed=2)
 ops = inst.operators()
@@ -56,7 +56,7 @@ print(f"  generic evaluation vs direct step: {np.max(np.abs(t_out - z_next)):.1e
 
 print("\nfour-operator extension, n=4, d=3")
 bad = ryu4_scheme(0.5)
-print(f"  lifting dimension admissible: {validate_lifting(bad)}")
+print(f"  lifting dimension admissible: {lifting_ok(bad.n, bad.d)}")
 z = np.array([[0.0], [0.0], [1.0]])
 zero_ops = [ZeroOp() for _ in range(4)]
 norms = []

@@ -60,10 +60,8 @@ from .operators import (
     firmness_gap,
     prox_abs,
     prox_l1,
-    prox_linear,
     prox_nuclear,
     project_partial_ball,
-    resolvent_affine,
     soft_threshold,
 )
 from .problems import (
@@ -92,7 +90,6 @@ from .scheme import (
     ryu4_scheme,
     save_scheme,
     solve_scheme,
-    validate_lifting,
     witness_from_point,
 )
 from .splitting import (

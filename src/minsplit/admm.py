@@ -19,7 +19,7 @@ residual check of the Kuhn-Tucker conditions.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -275,23 +275,25 @@ class KktResidual:
     subgradient: np.ndarray
 
 
-def kkt_residual(p, w, dual):
+def kkt_residual(p, w, duals):
     """Measure how far ``(w, dual)`` is from a Kuhn-Tucker pair.
 
-    The primal part is ``||sum_i A_i w_i - b||``.  Per block, optimality
-    requires ``-A_i^T dual`` to be a subgradient of ``f_i`` at ``w_i``,
-    which holds iff ``w_i`` re-solves its subproblem with offset
-    ``dual - A_i w_i``; the reported residual is the distance to that
-    re-solve.
+    ``dual`` is the last row of ``duals`` (a 1-d array is one row), and
+    ``dual_spread`` is the consensus spread of the rows.  The primal part is
+    ``||sum_i A_i w_i - b||``.  Per block, optimality requires ``-A_i^T dual``
+    to be a subgradient of ``f_i`` at ``w_i``, which holds iff ``w_i``
+    re-solves its subproblem with offset ``dual - A_i w_i``; the reported
+    residual is the distance to that re-solve.
     """
-    dual = linalg.as_vector(dual, "dual")
+    duals = np.atleast_2d(duals)
+    dual = linalg.as_vector(duals[-1], "dual")
     s = [p.blocks[i].apply(np.asarray(w[i], dtype=np.float64)) for i in range(p.n)]
     primal = float(np.linalg.norm(sum(s) - p.b))
     sub = np.empty(p.n)
     for i in range(p.n):
         w_ref = _solve_block(p, i, dual - s[i])
         sub[i] = float(np.linalg.norm(w_ref - np.asarray(w[i], dtype=np.float64)))
-    return KktResidual(primal=primal, dual_spread=0.0, subgradient=sub)
+    return KktResidual(primal=primal, dual_spread=consensus_spread(duals), subgradient=sub)
 
 
 @dataclass
@@ -361,7 +363,7 @@ def admm_solve(
     m = p.b.size
     indices = list(range(n)) if metric_blocks is None else list(metric_blocks)
     trace = ResidualTrace(["primal_residual", "relative_change"])
-    z = mu = duals = None
+    z = mu = z_pre = s = None
     w_prev = [np.zeros(blk.w_dim) for blk in p.blocks]
     if form == "averaged":
         # w_prev only enters the relative-change metric; the sweep is z-driven
@@ -374,18 +376,13 @@ def admm_solve(
         w_prev = [np.asarray(wi, dtype=np.float64) for wi in w_prev]
 
     def step():
-        nonlocal z, mu, w_prev, duals
+        nonlocal z, mu, w_prev, z_pre, s
         if form == "averaged":
             z_pre = z
             z, w = admm_avg_step(p, z, gamma)
         else:
             mu, w = admm_auglag_step(p, mu, w_prev, gamma)
         s = [p.blocks[i].apply(w[i]) for i in range(n)]
-        if form == "averaged":
-            # z_i + A_1 w_1 + ... + A_i w_i, the prefix sums started from zero
-            duals = z_pre + np.array(list(accumulate(s[:-1], initial=np.zeros(m)))[1:])
-        else:
-            duals = mu.copy()
         rel = _relative_change(w, w_prev, indices)
         w_prev = w
         return {"primal_residual": float(np.linalg.norm(sum(s) - p.b)), "relative_change": rel}
@@ -393,16 +390,17 @@ def admm_solve(
     k, converged, diverged = iterate(
         step, trace, max_iter, stop_at_tol(tol, "primal_residual"), watch="primal_residual"
     )
-    kkt = None
-    if not diverged:
-        kkt = kkt_residual(p, w_prev, duals[-1])
-        kkt = replace(kkt, dual_spread=consensus_spread(duals))
+    if form == "averaged":
+        # z_i + A_1 w_1 + ... + A_i w_i over the last sweep, prefix sums from zero
+        duals = z_pre + np.array(list(accumulate(s[:-1], initial=np.zeros(m)))[1:])
+    else:
+        duals = mu.copy()
     return AdmmReport(
         converged=converged,
         iterations=k,
         w=w_prev,
         duals=duals,
-        kkt=kkt,
+        kkt=None if diverged else kkt_residual(p, w_prev, duals),
         trace=trace,
         diverged=diverged,
         z=z,
@@ -611,6 +609,11 @@ def _check_pdhg_steps(tau, sigma, lap_norm):
         )
 
 
+def _pdhg_update(x, y, tau, sigma, lap, c):
+    x_next = prox_abs(x - tau * (lap @ y), c, tau)
+    return x_next, y + sigma * (lap @ (2.0 * x_next - x))
+
+
 def pdhg_step(x, y, tau, sigma, lap, c, lap_norm=None):
     """One primal-dual step for ``min ||x - c||_1  s.t.  L x = 0``.
 
@@ -622,11 +625,8 @@ def pdhg_step(x, y, tau, sigma, lap, c, lap_norm=None):
     if lap_norm is None:
         lap_norm = linalg.op_norm(lap)
     _check_pdhg_steps(tau, sigma, lap_norm)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    x_next = prox_abs(x - tau * (lap @ y), c, tau)
-    y_next = y + sigma * (lap @ (2.0 * x_next - x))
-    return x_next, y_next
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return _pdhg_update(x, y, tau, sigma, lap, c)
 
 
 @dataclass
@@ -657,8 +657,7 @@ def pdhg_solve(c, lap, tau, sigma, x0=None, y0=None, tol=1e-8, max_iter=100000):
 
     def step():
         nonlocal x, y
-        x_next = prox_abs(x - tau * (lap @ y), c, tau)
-        y_next = y + sigma * (lap @ (2.0 * x_next - x))
+        x_next, y_next = _pdhg_update(x, y, tau, sigma, lap, c)
         residual = math.sqrt(
             float(np.linalg.norm(x_next - x) ** 2) / tau**2
             + float(np.linalg.norm(y_next - y) ** 2) / sigma**2

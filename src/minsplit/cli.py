@@ -12,10 +12,12 @@ Three subcommands:
   numerical certification battery: lifting dimension, averagedness
   sampling, kernel residuals and the solution-mapping identities.
 
-Shared flags: ``--seed``, ``--tol``, ``--max-iter``, ``--gamma``, ``--out``.
-Options may also come from a ``key=value`` file via ``--config``; explicit
-flags win.  All output CSVs are byte-stable across reruns: randomness is
-seeded and floats are printed in shortest round-trip form.
+Shared flags: ``--seed``, ``--max-iter``, ``--gamma``; ``consensus`` also
+takes ``--tol``, and ``consensus`` and ``rpca`` take ``--out``.  Options may
+also come from a ``key=value`` file via ``--config``; explicit flags win,
+and keys that only other subcommands read are ignored.  All output CSVs are
+byte-stable across reruns: randomness is seeded and floats are printed in
+shortest round-trip form.
 """
 
 import argparse
@@ -57,34 +59,29 @@ def _load_config(path):
 
 
 def _apply_config(parser, argv):
-    # flags win over config-file values: pre-scan for --config, install the
-    # file's entries as typed parser defaults, then parse the real argv
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if known.config:
-        entries = _load_config(known.config)
-        subparsers = list(parser._subparsers._group_actions[0].choices.values())
-        types = {}
-        for container in [parser] + subparsers:
-            for action in container._actions:
-                if action.dest != argparse.SUPPRESS:
-                    types.setdefault(action.dest, action.type)
-        unknown = set(entries) - set(types)
-        if unknown:
-            raise CliError("bad-config", f"unknown keys: {', '.join(sorted(unknown))}")
-        typed = {}
-        for key, val in entries.items():
-            caster = types[key]
-            try:
-                typed[key] = caster(val) if caster else val
-            except ValueError:
-                raise CliError("bad-config", f"cannot parse {key}={val!r}")
-        # the flags live on the subcommand parsers, so the defaults must too
-        for container in subparsers:
-            own = {a.dest for a in container._actions}
-            container.set_defaults(**{k: v for k, v in typed.items() if k in own})
-    return parser.parse_args(argv)
+    # flags win over config-file values: the file's entries go in as flags
+    # ahead of the command line's own, and argparse keeps the last value given
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    entries = _load_config(args.config)
+    # each subcommand's options with their defaults; an option's type is its
+    # default's, or str when the default is None
+    options = {name: vars(parser.parse_args([name])) for name in COMMANDS}
+    known = {k: v for own in options.values() for k, v in own.items() if k != "command"}
+    unknown = set(entries) - set(known)
+    if unknown:
+        raise CliError("bad-config", f"unknown keys: {', '.join(sorted(unknown))}")
+    flags = []
+    for key, val in entries.items():
+        try:
+            (str if known[key] is None else type(known[key]))(val)
+        except ValueError:
+            raise CliError("bad-config", f"cannot parse {key}={val!r}")
+        if key in options[args.command]:
+            flags.append(f"--{key.replace('_', '-')}={val}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def build_parser():
@@ -93,14 +90,14 @@ def build_parser():
 
     def shared(p, gamma, max_iter):
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=max_iter)
         p.add_argument("--gamma", type=float, default=gamma)
-        p.add_argument("--out", default=None, help="output CSV path")
         p.add_argument("--config", default=None, help="key=value defaults file")
 
     con = sub.add_parser("consensus", help="scalar consensus on a cycle graph")
     shared(con, gamma=0.9, max_iter=50000)
+    con.add_argument("--tol", type=float, default=1e-8)
+    con.add_argument("--out", default=None, help="output CSV path")
     con.add_argument("--n", type=int, default=10)
     con.add_argument(
         "--algorithms",
@@ -110,6 +107,7 @@ def build_parser():
 
     rp = sub.add_parser("rpca", help="partially observed robust PCA")
     shared(rp, gamma=0.8, max_iter=2000)
+    rp.add_argument("--out", default=None, help="output CSV path")
     rp.add_argument("--m", type=int, default=20)
     rp.add_argument("--n", type=int, default=20)
     rp.add_argument("--lam", type=float, default=0.25)
@@ -144,7 +142,6 @@ def _parse_algorithms(raw, allowed):
 
 def cmd_consensus(args):
     n = int(args.n)
-    tol = float(args.tol)
     names = _parse_algorithms(args.algorithms, CONSENSUS_ALGORITHMS)
     if "ryu3" in names and n != 3:
         raise CliError("bad-algorithms", "ryu3 takes exactly 3 operators; use --n 3")
@@ -155,10 +152,10 @@ def cmd_consensus(args):
         if name.startswith("pdhg"):
             lap = problems.cycle_laplacian(n)
             tau, sigma = admm.pdhg_stepsizes(linalg.op_norm(lap), int(name[-1]))
-            report = admm.pdhg_solve(inst.c, lap, tau, sigma, tol=tol, max_iter=args.max_iter)
+            report = admm.pdhg_solve(inst.c, lap, tau, sigma, tol=args.tol, max_iter=args.max_iter)
         else:
             solve = getattr(splitting, f"{name}_solve")
-            report = solve(ops, gamma=args.gamma, tol=tol, max_iter=args.max_iter, dim=1)
+            report = solve(ops, gamma=args.gamma, tol=args.tol, max_iter=args.max_iter, dim=1)
         residuals = report.trace.columns["residual"]
         for k, value in enumerate(residuals, start=1):
             rows.append([str(k), name, format_float(value)])
@@ -234,7 +231,7 @@ def cmd_verify(args):
     print(f"scheme: n={sch.n} operators, d={sch.d} lifted blocks")
     checks = {}
 
-    lifting = scheme.validate_lifting(sch)
+    lifting = scheme.lifting_ok(sch.n, sch.d)
     checks["lifting"] = lifting
     print(f"lifting: {'PASS' if lifting else 'FAIL'} "
           f"(need d >= n-1 for n >= 2; d={sch.d}, n={sch.n})")
@@ -293,15 +290,14 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+COMMANDS = {"consensus": cmd_consensus, "rpca": cmd_rpca, "verify": cmd_verify}
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
-        if args.command == "consensus":
-            return cmd_consensus(args)
-        if args.command == "rpca":
-            return cmd_rpca(args)
-        return cmd_verify(args)
+        return COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

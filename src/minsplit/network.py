@@ -31,7 +31,7 @@ from .splitting import (
     _lifted,
     _solve_report,
     chain_argument,
-    consensus_spread,  # unused here, kept as this module's public name
+    consensus_spread,  # unused here, but bench/tracing.py rebinds this module's copy
     relaxed_update,
 )
 from .trace import format_float, write_csv

@@ -73,29 +73,6 @@ def project_partial_ball(v, omega, delta):
     return out
 
 
-def resolvent_affine(m, c, y, step):
-    """Resolvent of the affine monotone operator ``x -> m @ x + c``.
-
-    Returns ``(I + step*m)^{-1} (y - step*c)``.
-    """
-    if step <= 0:
-        raise ParameterError(f"step must be positive, got {step}")
-    m = linalg.as_matrix(m, "m")
-    c = linalg.as_vector(c, "c")
-    y = linalg.as_vector(y, "y")
-    eye = np.eye(m.shape[0])
-    return linalg.solve_small(eye + step * m, y - step * c)
-
-
-def prox_linear(b, y, step):
-    """Resolvent of the constant operator ``x -> -b``; a pure shift ``y + step*b``."""
-    b = np.asarray(b, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if b.shape != y.shape:
-        raise ShapeError(f"shapes disagree: b {b.shape}, y {y.shape}")
-    return y + step * b
-
-
 @dataclass(frozen=True)
 class PartialMatrix:
     """A matrix known only on a boolean mask of observed entries."""

@@ -54,7 +54,7 @@ class SchemeMatrices:
             if arr.shape != want:
                 raise ShapeError(f"{name} must have shape {want}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+                raise ParameterError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, arr)
         if np.any(np.triu(self.L) != 0.0):
             raise ShapeError("L must be strictly lower triangular")
@@ -227,20 +227,11 @@ def check_solution_mapping(s, ops, z_fixed, fp_tol=1e-8):
 
 def lifting_ok(n, d):
     """True iff the lifting dimension is admissible: ``d >= n - 1`` for
-    ``n >= 2`` and ``d >= 1`` for ``n = 1``."""
+    ``n >= 2`` and ``d >= 1`` for ``n = 1``.  No scheme of smaller ``d``
+    solves every instance; test a scheme ``s`` with ``lifting_ok(s.n, s.d)``."""
     if n >= 2:
         return d >= n - 1
     return d >= 1
-
-
-def validate_lifting(s):
-    """Dimension validator for the minimal-lifting lower bound.
-
-    A ``False`` result means no scheme with these dimensions can solve all
-    instances over this operator class; the library only warns because the
-    matrices may still be useful on restricted problem families.
-    """
-    return lifting_ok(s.n, s.d)
 
 
 def solve_scheme(s, ops, z0=None, tol=1e-10, max_iter=100000, dim=None):

@@ -279,23 +279,15 @@ def mt_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=None):
     return _split_solve(ops, gamma, z0, tol, max_iter, dim)
 
 
-def pr_solve(ops, z0=None, tol=1e-8, max_iter=100000, moduli=None, dim=None):
-    """The boundary case ``gamma = 1`` under declared uniform monotonicity.
+def pr_solve(ops, z0=None, tol=1e-8, max_iter=100000, dim=None):
+    """The boundary case ``gamma = 1`` under uniform monotonicity.
 
-    Operators ``2..n`` should be uniformly monotone for convergence; their
-    moduli may be declared in ``moduli`` (positive floats) for validation.
+    Operators ``2..n`` should be uniformly monotone for convergence.
     Progress is certified by the consensus spread of the resolvent outputs
     rather than averagedness, and the solve reports ``converged=False``
     when the spread never falls below ``tol`` (e.g. for plainly monotone
     operators, where the iteration may be an isometry).
     """
-    if moduli is not None:
-        if len(moduli) != len(ops) - 1:
-            raise ParameterError(
-                f"expected {len(ops) - 1} moduli for operators 2..n, got {len(moduli)}"
-            )
-        if any(b <= 0 for b in moduli):
-            raise ParameterError("declared moduli must be positive")
     return _split_solve(ops, 1.0, z0, tol, max_iter, dim, stop="spread")
 
 

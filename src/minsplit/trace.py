@@ -5,7 +5,7 @@ round-trips to the same double, so identical runs produce identical bytes.
 The same rule serves the plain-text matrix files of schemes and instances.
 """
 
-import time
+import math
 
 import numpy as np
 
@@ -18,23 +18,17 @@ def format_float(v):
 
 
 class ResidualTrace:
-    """Columnar per-iteration records: iteration index, values, timestamps.
-
-    Timestamps are wall-clock seconds and are excluded from CSV output by
-    default so that reruns are byte-identical.
-    """
+    """Columnar per-iteration records: iteration index and named values."""
 
     def __init__(self, columns):
         self.column_names = list(columns)
         self.ks = []
         self.columns = {name: [] for name in self.column_names}
-        self.timestamps = []
 
     def append(self, k, values):
         self.ks.append(int(k))
         for name in self.column_names:
             self.columns[name].append(float(values[name]))
-        self.timestamps.append(time.perf_counter())
 
     def __len__(self):
         return len(self.ks)
@@ -42,18 +36,14 @@ class ResidualTrace:
     def last(self, name):
         return self.columns[name][-1]
 
-    def rows(self, names=None, include_timestamps=False):
+    def rows(self, names=None):
         names = self.column_names if names is None else list(names)
         for idx, k in enumerate(self.ks):
-            row = [str(k)] + [format_float(self.columns[n][idx]) for n in names]
-            if include_timestamps:
-                row.append(format_float(self.timestamps[idx]))
-            yield row
+            yield [str(k)] + [format_float(self.columns[n][idx]) for n in names]
 
-    def to_csv(self, path, names=None, include_timestamps=False):
+    def to_csv(self, path, names=None):
         names = self.column_names if names is None else list(names)
-        header = ["k"] + names + (["t_wall"] if include_timestamps else [])
-        write_csv(path, header, self.rows(names, include_timestamps))
+        write_csv(path, ["k"] + names, self.rows(names))
 
 
 def write_csv(path, header, rows):
@@ -78,7 +68,7 @@ def read_blocks(path, layout, masks=()):
     as ``(name, rows, cols)`` in file order, and ``build(**blocks)`` makes
     the result from the parsed arrays.  A ``ValueError`` from ``layout``
     marks a malformed header, one from ``build`` inconsistent blocks.  Every
-    row must hold ``cols`` numbers, the entries of the blocks named in
+    row must hold ``cols`` finite numbers, the entries of the blocks named in
     ``masks`` must be 0 or 1, and the file must end after the last block.
 
     Raises :class:`SchemeParseError` with a 1-based line number on malformed
@@ -116,6 +106,8 @@ def read_blocks(path, layout, masks=()):
                 data.append([float(f) for f in fields])
             except ValueError:
                 raise SchemeParseError(no, f"non-numeric entry in {name} row {r + 1}")
+            if not all(map(math.isfinite, data[-1])):
+                raise SchemeParseError(no, f"{name} row {r + 1} contains non-finite entries")
             if name in masks and not set(data[-1]) <= {0.0, 1.0}:
                 raise SchemeParseError(no, f"{name} row {r + 1} entries must be 0 or 1")
         blocks[name] = np.array(data)

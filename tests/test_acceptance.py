@@ -370,8 +370,7 @@ def test_criterion_10_robust_pca_benchmark():
 
 def test_criterion_11_uniform_monotonicity_limit():
     inst = gen_affine_monotone(3, 4, seed=11, moduli=(0.0, 0.5, 0.5))
-    report = pr_solve(inst.operators(), tol=1e-8, max_iter=10000,
-                      moduli=(0.5, 0.5), dim=4)
+    report = pr_solve(inst.operators(), tol=1e-8, max_iter=10000, dim=4)
     assert report.converged
     assert report.iterations <= 10000
     assert report.consensus_spread <= 1e-8

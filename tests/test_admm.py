@@ -307,6 +307,28 @@ def test_kkt_residual_perturbed_dual():
     assert shifted.subgradient.max() > 1e-3
 
 
+def test_kkt_residual_reads_the_last_row_of_stacked_duals(rng):
+    p, _ = quad_problem(3, 4, seed=8)
+    w = [rng.standard_normal(3) for _ in range(3)]
+    duals = rng.standard_normal((2, 4))
+    stacked = kkt_residual(p, w, duals)
+    last = kkt_residual(p, w, duals[-1])
+    assert stacked.primal == last.primal
+    assert np.array_equal(stacked.subgradient, last.subgradient)
+    assert stacked.dual_spread == consensus_spread(duals)
+    # a 1-d dual is one row, so it has no spread
+    assert last.dual_spread == 0.0
+
+
+@pytest.mark.parametrize("form", ["averaged", "auglag"])
+def test_admm_kkt_is_the_kkt_residual_of_the_reported_duals(form):
+    p, _ = quad_problem(3, 4, seed=10)
+    rep = admm_solve(p, form=form, gamma=0.8, tol=0.0, max_iter=25)
+    kkt = kkt_residual(p, rep.w, rep.duals)
+    assert (rep.kkt.primal, rep.kkt.dual_spread) == (kkt.primal, kkt.dual_spread)
+    assert np.array_equal(rep.kkt.subgradient, kkt.subgradient)
+
+
 def test_kkt_residual_at_admm_exit():
     p, _ = quad_problem(3, 4, seed=10)
     tol = 1e-9
@@ -353,6 +375,55 @@ def test_dual_spread_is_computed_once_from_the_final_duals(monkeypatch, form):
     assert rep.iterations == 30 and len(calls) == 1
     assert rep.trace.column_names == ["primal_residual", "relative_change"]
     assert rep.kkt.dual_spread == consensus_spread(rep.duals)
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 7])
+def test_averaged_duals_are_the_last_sweeps_prefix_sums(monkeypatch, sweeps):
+    # the duals are built once, after the last sweep, from that sweep's
+    # start z and its constraint contributions
+    p, _ = quad_problem(4, 4, seed=12)
+    calls = count_calls(monkeypatch, minsplit.admm, "accumulate")
+    rep = admm_solve(p, form="averaged", gamma=0.8, tol=0.0, max_iter=sweeps)
+    assert len(calls) == 1
+    z = np.zeros((3, p.b.size))
+    for _ in range(sweeps):
+        z_pre = z
+        z, w = admm_avg_step(p, z, 0.8)
+    prefix = np.zeros(p.b.size)
+    for i in range(3):
+        prefix = prefix + p.blocks[i].apply(w[i])
+        assert np.array_equal(rep.duals[i], z_pre[i] + prefix)
+
+
+def test_auglag_duals_are_a_copy_of_the_last_multipliers():
+    p, _ = quad_problem(3, 4, seed=12)
+    rep = admm_solve(p, form="auglag", gamma=0.8, tol=0.0, max_iter=5)
+    assert np.array_equal(rep.duals, rep.mu)
+    assert not np.shares_memory(rep.duals, rep.mu)
+
+
+@pytest.mark.parametrize("form", ["averaged", "auglag"])
+def test_diverged_admm_still_reports_its_last_duals(form):
+    blow = identity_prox_block(lambda u: u * 1e200 + 1.0, 2, coercive=True)
+    half = identity_prox_block(lambda u: 0.5 * u, 2, coercive=True)
+    p = SepProblem(blocks=(blow, half, half), b=np.array([1.0, -2.0]))
+    with np.errstate(over="ignore"):
+        rep = admm_solve(p, form=form, gamma=0.9, tol=1e-9, max_iter=50)
+    assert rep.diverged and rep.kkt is None
+    assert rep.duals.shape == ((2, 2) if form == "averaged" else (3, 2))
+    assert np.all(np.isfinite(rep.duals))
+
+
+def test_pdhg_solve_iterates_pdhg_step(rng):
+    inst = gen_consensus(6, 3)
+    lap = cycle_laplacian(6)
+    tau, sigma = pdhg_stepsizes(op_norm(lap), 2)
+    x0, y0 = rng.standard_normal(6), rng.standard_normal(6)
+    rep = pdhg_solve(inst.c, lap, tau, sigma, x0=x0, y0=y0, tol=0.0, max_iter=40)
+    x, y = x0, y0
+    for _ in range(40):
+        x, y = pdhg_step(x, y, tau, sigma, lap, inst.c)
+    assert np.array_equal(rep.x, x) and np.array_equal(rep.y, y)
 
 
 def test_rpca_admm_boundedness_and_determinism():

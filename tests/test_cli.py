@@ -230,3 +230,42 @@ def test_rpca_forty_by_forty_supported(tmp_path, capsys):
     )
     assert rc == 0
     assert len(out.read_text().splitlines()) == 1 + 2 * 20
+
+
+def test_config_reports_unparsable_values(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("max-iter = 4.5\n")
+    rc, _, err = run_cli(capsys, "consensus", "--config", str(cfg))
+    assert rc == 2
+    assert err == "error: bad-config: cannot parse max_iter='4.5'\n"
+
+
+def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
+    # one file may serve every subcommand: verify reads neither tol nor out
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(f"tol = 1\nout = {tmp_path / 'x.csv'}\ntrials = 30\ndim = 3\n")
+    args = ("verify", "--builtin", "mt:4", "--trials", "30", "--dim", "3")
+    rc, plain, _ = run_cli(capsys, *args)
+    rc2, configured, _ = run_cli(capsys, "verify", "--builtin", "mt:4", "--config", str(cfg))
+    assert rc == rc2 == 0
+    assert configured == plain
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--builtin", "dr", "--tol", "1"),
+    ("verify", "--builtin", "dr", "--out", "x.csv"),
+    ("rpca", "--max-iter", "5", "--tol", "1"),
+])
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
+def test_non_finite_parameter_exits_2_without_traceback(capsys):
+    rc, _, err = run_cli(capsys, "rpca", "--lam", "nan", "--algorithms", "asalm",
+                         "--max-iter", "3")
+    assert rc == 2
+    assert err == "error: ParameterError: matrix contains non-finite entries\n"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minsplit import cycle_laplacian, op_norm, solve_small, svd
-from minsplit.errors import ShapeError, SingularMatrixError
+from minsplit.errors import MinsplitError, ParameterError, ShapeError, SingularMatrixError
 from minsplit.linalg import as_matrix, as_vector
 
 
@@ -81,6 +81,11 @@ def test_validation_rejects_nonfinite():
         as_vector([1.0, np.nan])
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0.0], [0.0, 1.0]])
+    # the package error, which the CLI reports without a traceback
+    for bad in (lambda: as_vector([np.nan], "c"), lambda: as_matrix([[-np.inf]], "m")):
+        with pytest.raises(ParameterError) as err:
+            bad()
+        assert isinstance(err.value, MinsplitError)
     with pytest.raises(ShapeError):
         as_vector([[1.0, 2.0]])
     with pytest.raises(ShapeError):

@@ -18,10 +18,8 @@ from minsplit import (
     firmness_gap,
     prox_abs,
     prox_l1,
-    prox_linear,
     prox_nuclear,
     project_partial_ball,
-    resolvent_affine,
 )
 from minsplit.errors import ParameterError, ShapeError
 
@@ -212,15 +210,15 @@ def test_project_partial_ball_idempotent(rng):
 # affine resolvents and shifts
 
 
-def test_resolvent_affine_trivial(rng):
+def test_affine_op_resolvent_trivial(rng):
     y = rng.standard_normal(4)
-    out = resolvent_affine(np.zeros((4, 4)), np.zeros(4), y, 1.0)
+    out = AffineOp(np.zeros((4, 4)), np.zeros(4)).resolvent(y, 1.0)
     assert np.allclose(out, y, atol=1e-12)
-    out = resolvent_affine(np.eye(4), np.zeros(4), y, 1.0)
+    out = AffineOp(np.eye(4), np.zeros(4)).resolvent(y, 1.0)
     assert np.allclose(out, y / 2.0, atol=1e-12)
 
 
-def test_resolvent_affine_firmly_nonexpansive(rng):
+def test_affine_op_firmly_nonexpansive(rng):
     a = rng.standard_normal((4, 4))
     k = rng.standard_normal((4, 4))
     m = a.T @ a + 0.5 * (k - k.T)
@@ -236,18 +234,23 @@ def test_affine_op_rejects_nonmonotone():
         AffineOp(-np.eye(2), np.zeros(2))
 
 
-def test_prox_linear():
+def test_constant_op_shift(rng):
+    # x -> -b has the resolvent y + step * b, bit for bit
     y = np.array([0.0, 0.0])
-    assert np.array_equal(prox_linear(np.zeros(2), y, 1.0), y)
-    assert np.array_equal(prox_linear(np.array([1.0, 0.0]), y, 1.0), np.array([1.0, 0.0]))
+    assert np.array_equal(ConstantOp(-np.zeros(2)).resolvent(y, 1.0), y)
+    b = np.array([1.0, 0.0])
+    assert np.array_equal(ConstantOp(-b).resolvent(y, 1.0), np.array([1.0, 0.0]))
+    b, y = rng.standard_normal(5), rng.standard_normal(5)
+    assert np.array_equal(ConstantOp(-b).resolvent(y, 0.7), y + 0.7 * b)
 
 
-def test_prox_linear_prox_inequality(rng):
-    # prox of f(x) = -step * <b, x>
+def test_constant_op_prox_inequality(rng):
+    # ConstantOp(-b) is the gradient of f(x) = -<b, x>; its resolvent at
+    # step is the prox of step * f
     b = rng.standard_normal(3)
     y = rng.standard_normal(3)
     step = 0.7
-    p = prox_linear(b, y, step)
+    p = ConstantOp(-b).resolvent(y, step)
     fp = -step * b @ p + 0.5 * np.linalg.norm(p - y) ** 2
     for _ in range(100):
         q = p + rng.standard_normal(3) * rng.uniform(0.01, 3.0)

@@ -310,6 +310,10 @@ def test_load_instance_rejects_non_numeric_entry(tmp_path):
     with pytest.raises(SchemeParseError) as err:
         _load_text(tmp_path, "affine 1 2 0\n0.0\n1.0 x\n1 0\n0 1\n0 0\n")
     assert err.value.line_no == 3
+    # a non-finite entry is reported on its own line too
+    with pytest.raises(SchemeParseError) as err:
+        _load_text(tmp_path, "affine 1 2 0\n0.0\n1.0 2.0\n1 0\n0 inf\n0 0\n")
+    assert err.value.line_no == 5
 
 
 def test_load_instance_rejects_fractional_mask(tmp_path):

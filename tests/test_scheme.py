@@ -21,10 +21,9 @@ from minsplit import (
     ryu4_step,
     save_scheme,
     solve_scheme,
-    validate_lifting,
     witness_from_point,
 )
-from minsplit.errors import NotAFixedPointError, SchemeParseError, ShapeError
+from minsplit.errors import NotAFixedPointError, ParameterError, SchemeParseError, ShapeError
 
 from conftest import affine_ops
 
@@ -41,6 +40,13 @@ def test_scheme_matrices_validation():
             n=2, d=1,
             B=np.ones((3, 1)), L=np.zeros((2, 2)),
             Tz=np.eye(1), Tx=np.ones((1, 2)), Sz=np.zeros((1, 1)), Sx=np.ones((1, 2)),
+        )
+    # a package error that is still a ValueError
+    with pytest.raises(ParameterError, match="Tx contains non-finite entries"):
+        SchemeMatrices(
+            n=2, d=1,
+            B=np.ones((2, 1)), L=np.zeros((2, 2)),
+            Tz=np.eye(1), Tx=np.array([[np.nan, 1.0]]), Sz=np.zeros((1, 1)), Sx=np.ones((1, 2)),
         )
 
 
@@ -211,14 +217,15 @@ def test_lifting_bounds():
     assert not lifting_ok(5, 3)
 
 
-def test_validate_lifting_on_matrices():
-    assert validate_lifting(mt_scheme(4, 0.9))
+def test_lifting_ok_on_matrices():
+    good = mt_scheme(4, 0.9)
+    assert lifting_ok(good.n, good.d)
     bad = SchemeMatrices(
         n=4, d=2,
         B=np.zeros((4, 2)), L=np.zeros((4, 4)),
         Tz=np.eye(2), Tx=np.zeros((2, 4)), Sz=np.zeros((1, 2)), Sx=np.zeros((1, 4)),
     )
-    assert not validate_lifting(bad)
+    assert not lifting_ok(bad.n, bad.d)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +261,21 @@ def test_scheme_parse_reports_line_numbers(tmp_path):
     with pytest.raises(SchemeParseError) as err:
         load_scheme(path)
     assert err.value.line_no >= 1
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_scheme_parse_reports_non_finite_entry_on_its_line(tmp_path, entry):
+    path = tmp_path / "nan.txt"
+    save_scheme(mt_scheme(3, 0.5), path)
+    lines = path.read_text().splitlines()
+    # header, then B (3 rows), L (3 rows) and Tz (2 rows), each after a blank
+    assert lines[13] == "-0.5 0.5 0.0"
+    lines[13] = f"{entry} 0.5 0.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemeParseError) as err:
+        load_scheme(path)
+    assert err.value.line_no == 14
+    assert str(err.value) == "line 14: Tx row 1 contains non-finite entries"
 
 
 def test_scheme_parse_skips_comments_and_rejects_trailing(tmp_path):

@@ -186,7 +186,7 @@ def test_mt_solve_inclusion_residual_through_graphs():
 
 def test_pr_solve_strongly_monotone_converges():
     inst, ops = affine_ops(3, 4, seed=11, moduli=(0.0, 0.5, 0.5))
-    report = pr_solve(ops, tol=1e-8, max_iter=10000, moduli=(0.5, 0.5), dim=4)
+    report = pr_solve(ops, tol=1e-8, max_iter=10000, dim=4)
     assert report.converged
     assert report.consensus_spread <= 1e-8
     assert np.linalg.norm(report.final_x - inst.solution) <= 1e-6
@@ -198,11 +198,6 @@ def test_pr_solve_zero_ops_does_not_converge(rng):
     assert not report.converged
 
 
-def test_pr_solve_rejects_nonpositive_moduli():
-    with pytest.raises(ParameterError):
-        pr_solve(zeros_ops(3), moduli=(0.5, 0.0), dim=1, max_iter=5)
-
-
 def test_pr_solve_n2_matches_dr_at_gamma_one(rng):
     inst, ops = affine_ops(2, 3, seed=12, moduli=(0.0, 0.8))
     z = rng.standard_normal((1, 3))
@@ -211,8 +206,7 @@ def test_pr_solve_n2_matches_dr_at_gamma_one(rng):
         z, _ = mt_step(z, ops, 1.0)
         z_dr, _, _ = dr_step(z_dr, ops[0], ops[1], 1.0)
         assert np.linalg.norm(z[0] - z_dr) <= 1e-12
-    report = pr_solve(ops, z0=rng.standard_normal((1, 3)), tol=1e-9,
-                      max_iter=20000, moduli=(0.8,))
+    report = pr_solve(ops, z0=rng.standard_normal((1, 3)), tol=1e-9, max_iter=20000)
     assert report.converged
 
 

@@ -18,13 +18,6 @@ def test_trace_records_and_serialises(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "k,residual,spread"
     assert lines[1] == "1,0.5,0.25"
-    # timestamps are recorded per append and can be exported on demand
-    assert len(trace.timestamps) == 2
-    assert trace.timestamps[1] >= trace.timestamps[0]
-    path2 = tmp_path / "t2.csv"
-    trace.to_csv(path2, include_timestamps=True)
-    header = path2.read_text().splitlines()[0]
-    assert header == "k,residual,spread,t_wall"
 
 
 def test_write_csv(tmp_path):
