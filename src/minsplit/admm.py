@@ -44,14 +44,13 @@ class SepBlock:
     """One block of a separable problem.
 
     ``solve(v)`` must return ``argmin_w f(w) + 0.5 ||A w + v||^2``; ``apply``
-    and ``adjoint`` evaluate ``A`` and ``A^T``.  At least one of ``coercive``
-    (the function) or ``gram_invertible`` (``A^T A``) must hold for the
-    convergence theory to apply.
+    evaluates ``A``.  At least one of ``coercive`` (the function) or
+    ``gram_invertible`` (``A^T A``) must hold for the convergence theory to
+    apply.
     """
 
     solve: callable
     apply: callable
-    adjoint: callable
     w_dim: int
     out_dim: int
     coercive: bool
@@ -68,7 +67,6 @@ def identity_prox_block(prox, dim, coercive, label="prox"):
     return SepBlock(
         solve=lambda v: prox(-v),
         apply=lambda w: w,
-        adjoint=lambda u: u,
         w_dim=dim,
         out_dim=dim,
         coercive=coercive,
@@ -97,7 +95,6 @@ def quadratic_block(q_mat, q_vec, a_mat, label="quadratic"):
     return SepBlock(
         solve=solve,
         apply=lambda w: a_mat @ w,
-        adjoint=lambda u: a_mat.T @ u,
         w_dim=q_vec.size,
         out_dim=a_mat.shape[0],
         coercive=bool(eig_q[0] > 0),
@@ -112,7 +109,6 @@ def point_block(p, label="point"):
     return SepBlock(
         solve=lambda v: p.copy(),
         apply=lambda w: w,
-        adjoint=lambda u: u,
         w_dim=p.size,
         out_dim=p.size,
         coercive=True,
@@ -536,7 +532,7 @@ def asalm_step(state, observed, lam, delta):
     shrinkage; low-rank update: singular value shrinkage; then one
     multiplier ascent on the constraint violation.
     """
-    if lam <= 0 or delta <= 0:
+    if not (lam > 0 and delta > 0):
         raise ParameterError("lam and delta must be positive")
     m_mat = observed.observed()
     fit = project_partial_ball(
@@ -589,7 +585,7 @@ def pdhg_stepsizes(lap_norm, variant, margin=1e-6):
     stability boundary; both factors are shrunk by ``sqrt(1 - margin)`` so
     the strict inequality holds by construction.
     """
-    if lap_norm <= 0:
+    if not lap_norm > 0:
         raise ParameterError(f"lap_norm must be positive, got {lap_norm}")
     ratios = {1: 1.0, 2: 10.0, 3: 0.1}
     if variant not in ratios:
@@ -600,7 +596,7 @@ def pdhg_stepsizes(lap_norm, variant, margin=1e-6):
 
 
 def _check_pdhg_steps(tau, sigma, lap_norm):
-    if tau <= 0 or sigma <= 0:
+    if not (tau > 0 and sigma > 0):
         raise ParameterError("tau and sigma must be positive")
     product = tau * sigma * lap_norm**2
     if not product < 1.0:

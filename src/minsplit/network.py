@@ -6,15 +6,15 @@ Each of ``n`` nodes on a cycle privately holds one monotone operator; nodes
 
 1. nodes ``2..n`` pass their owned block to their predecessor;
 2. node 1 applies its resolvent and sends the output to both neighbours;
-3. nodes ``2..n-1`` in turn apply their resolvents, forward the output, and
-   relax their owned block;
-4. node ``n`` applies its resolvent, relaxes its owned block, and passes its
-   output back to node 1.
+3. nodes ``2..n`` in turn take the block of node ``i+1`` (or, at node ``n``,
+   node 1's output), read node ``i-1``'s output, apply their resolvents,
+   send the output on to node ``i % n + 1`` and relax their owned block.
 
-Every node sends exactly two messages per round, one to each cycle
-neighbour.  The arithmetic uses the same primitive grouping as
-:func:`minsplit.splitting.mt_step`, so the concatenated owned blocks
-reproduce the centralised iterates exactly, not merely to tolerance.
+At ``n = 2`` node 1's two neighbours are both node 2, which reads both of
+node 1's messages in step 3.  Every node sends exactly two messages per
+round, one to each cycle neighbour.  The arithmetic uses the same primitive
+grouping as :func:`minsplit.splitting.mt_step`, so the concatenated owned
+blocks reproduce the centralised iterates exactly, not merely to tolerance.
 
 The scheduler is synchronous and reliable (no loss, FIFO channels).  Each
 round opens a fresh mailbox, so no message outlives the round that sent it.
@@ -87,29 +87,25 @@ def gathered_z(nodes):
     return np.stack([node.owned_z for node in nodes[1:]])
 
 
-def _neighbours(i, n):
-    prev = n if i == 1 else i - 1
-    nxt = 1 if i == n else i + 1
-    return prev, nxt
-
-
 class _Mailbox:
     """FIFO channels between cycle neighbours with adjacency enforcement."""
 
-    def __init__(self, n):
+    def __init__(self, n, log):
         self.n = n
+        self.log = log
         self.queues = {}
 
-    def send(self, log, from_node, to_node, kind, body):
-        prev, nxt = _neighbours(from_node, self.n)
-        if to_node not in (prev, nxt):
+    def send(self, from_node, to_node, kind, body):
+        """Queue and log a private copy of ``body``; returns that copy."""
+        if (to_node - from_node) % self.n not in (1, self.n - 1):
             raise ProtocolError(
                 f"node {from_node} may not message node {to_node} on the cycle"
             )
         msg = Message(from_node, to_node, kind, np.array(body, dtype=np.float64),
-                      log.round_index)
-        log.messages.append(msg)
+                      self.log.round_index)
+        self.log.messages.append(msg)
         self.queues.setdefault((from_node, to_node, kind), []).append(msg.body)
+        return msg.body
 
     def receive(self, to_node, from_node, kind):
         queue = self.queues.get((from_node, to_node, kind))
@@ -128,41 +124,27 @@ def run_round(nodes, gamma, round_index):
     """
     _check_gamma(gamma)
     n = len(nodes)
-    mail = _Mailbox(n)
     log = RoundLog(round_index=round_index)
+    mail = _Mailbox(n, log)
     # step 1: owned blocks travel to the predecessor
     for node in nodes[1:]:
         if node.owned_z is None:
             raise ProtocolError(f"node {node.node_id} has no initialised block")
-        mail.send(log, node.node_id, node.node_id - 1, Z_PASS, node.owned_z)
+        mail.send(node.node_id, node.node_id - 1, Z_PASS, node.owned_z)
     # step 2: node 1 applies its resolvent and sends to both neighbours
-    x1 = nodes[0].op.resolvent(mail.receive(1, 2, Z_PASS))
-    nodes[0].last_x = x1
-    log.x_values[1] = x1.copy()
-    mail.send(log, 1, 2, X_PASS, x1)
-    mail.send(log, 1, n, X_PASS, x1)
-    # step 3: the middle nodes, in index order
-    for i in range(2, n):
+    nodes[0].last_x = nodes[0].op.resolvent(mail.receive(1, 2, Z_PASS))
+    log.x_values[1] = mail.send(1, 2, X_PASS, nodes[0].last_x)
+    mail.send(1, n, X_PASS, nodes[0].last_x)
+    # step 3: nodes 2..n in index order; node n leads with node 1's output
+    # and reports back to node 1, which gives every node two sends per round
+    for i in range(2, n + 1):
         node = nodes[i - 1]
-        z_in = mail.receive(i, i + 1, Z_PASS)
+        lead = mail.receive(i, i % n + 1, Z_PASS if i < n else X_PASS)
         x_prev = mail.receive(i, i - 1, X_PASS)
-        x_i = node.op.resolvent(chain_argument(z_in, node.owned_z, x_prev))
-        node.last_x = x_i
-        log.x_values[i] = x_i.copy()
-        mail.send(log, i, i + 1, X_PASS, x_i)
-        node.owned_z = relaxed_update(node.owned_z, x_i, x_prev, gamma)
+        node.last_x = node.op.resolvent(chain_argument(lead, node.owned_z, x_prev))
+        log.x_values[i] = mail.send(i, i % n + 1, X_PASS, node.last_x)
+        node.owned_z = relaxed_update(node.owned_z, node.last_x, x_prev, gamma)
         log.z_updates[i] = node.owned_z.copy()
-    # step 4: node n updates the last block and reports back to node 1,
-    # which gives every node exactly two sends per round
-    last = nodes[-1]
-    x_first = mail.receive(n, 1, X_PASS)
-    x_prev = mail.receive(n, n - 1, X_PASS) if n > 2 else x_first
-    x_n = last.op.resolvent(chain_argument(x_first, last.owned_z, x_prev))
-    last.last_x = x_n
-    log.x_values[n] = x_n.copy()
-    last.owned_z = relaxed_update(last.owned_z, x_n, x_prev, gamma)
-    log.z_updates[n] = last.owned_z.copy()
-    mail.send(log, n, 1, X_PASS, x_n)
     return log
 
 

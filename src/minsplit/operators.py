@@ -29,7 +29,7 @@ def prox_abs(y, c, step):
 
     Equals ``c + soft_threshold(y - c, step)``.
     """
-    if step <= 0:
+    if not step > 0:
         raise ParameterError(f"step must be positive, got {step}")
     y = np.asarray(y, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -40,14 +40,14 @@ def prox_abs(y, c, step):
 
 def prox_l1(y, lam):
     """Elementwise soft-threshold, the proximity operator of ``lam * ||.||_1``."""
-    if lam < 0:
+    if not lam >= 0:
         raise ParameterError(f"lam must be nonnegative, got {lam}")
     return soft_threshold(np.asarray(y, dtype=np.float64), lam)
 
 
 def prox_nuclear(y, lam):
     """Singular-value soft-threshold, the proximity operator of ``lam * ||.||_*``."""
-    if lam < 0:
+    if not lam >= 0:
         raise ParameterError(f"lam must be nonnegative, got {lam}")
     f = linalg.svd(y)
     return (f.u * soft_threshold(f.sigma, lam)) @ f.vt
@@ -59,7 +59,7 @@ def project_partial_ball(v, omega, delta):
     Entries outside the mask are free and copied from ``v``; entries inside
     are scaled radially by ``min(1, delta / ||v on omega||_F)``.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     v = np.asarray(v, dtype=np.float64)
     omega = np.asarray(omega, dtype=bool)
@@ -171,7 +171,7 @@ class AffineOp(MonotoneOp):
         self._inv_cache = {}
 
     def resolvent(self, y, step=1.0):
-        if step <= 0:
+        if not step > 0:
             raise ParameterError(f"step must be positive, got {step}")
         inv = self._inv_cache.get(step)
         if inv is None:
@@ -232,7 +232,7 @@ class ScaledOp(MonotoneOp):
     kind = "scaled"
 
     def __init__(self, op, alpha):
-        if alpha <= 0:
+        if not alpha > 0:
             raise ParameterError(f"alpha must be positive, got {alpha}")
         self.op = op
         self.alpha = alpha

@@ -27,12 +27,10 @@ DIVERGENCE_CAP = 1e12
 
 @dataclass
 class SplitState:
-    """Iterate snapshot: lifted point, last resolvent outputs, residual."""
+    """Iterate snapshot: lifted point and last resolvent outputs."""
 
     z: np.ndarray
     x: np.ndarray
-    k: int
-    residual: float
 
 
 @dataclass
@@ -121,9 +119,9 @@ def stop_at_tol(tol, column="residual"):
 
     ``tol = 0`` never stops, so the whole iteration budget runs even when a
     sweep lands exactly on a fixed point.  Raises :class:`ParameterError`
-    when ``tol < 0``.
+    when ``tol`` is negative or NaN.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ParameterError(f"tol must be nonnegative, got {tol}")
     return lambda row: tol > 0.0 and row[column] <= tol
 
@@ -140,7 +138,7 @@ def _solve_report(step, max_iter, tol, final, stop="residual"):
         trace=trace,
         consensus_spread=trace.last(stop) if stop == "spread" else consensus_spread(x),
         diverged=diverged,
-        state=SplitState(z=z, x=x, k=k, residual=trace.last("residual")),
+        state=SplitState(z=z, x=x),
     )
 
 

@@ -474,6 +474,21 @@ def test_pdhg_rejects_boundary_product():
                   np.zeros(10), lap_norm=norm)
 
 
+@pytest.mark.parametrize("lam, delta", [(math.nan, 0.1), (0.25, math.nan)])
+def test_asalm_step_rejects_nan_parameters(lam, delta):
+    observed = PartialMatrix(values=np.zeros((4, 4)), mask=np.ones((4, 4), dtype=bool))
+    with pytest.raises(ParameterError, match="lam and delta"):
+        asalm_step(asalm_init((4, 4)), observed, lam, delta)
+
+
+def test_pdhg_rejects_nan_steps():
+    lap = cycle_laplacian(4)
+    with pytest.raises(ParameterError, match="lap_norm"):
+        pdhg_stepsizes(math.nan, 1)
+    with pytest.raises(ParameterError, match="tau and sigma"):
+        pdhg_step(np.zeros(4), np.zeros(4), math.nan, 0.1, lap, np.zeros(4), lap_norm=4.0)
+
+
 def test_pdhg_consensus_median():
     inst = gen_consensus(10, 1)
     lap = cycle_laplacian(10)

@@ -268,4 +268,19 @@ def test_non_finite_parameter_exits_2_without_traceback(capsys):
     rc, _, err = run_cli(capsys, "rpca", "--lam", "nan", "--algorithms", "asalm",
                          "--max-iter", "3")
     assert rc == 2
-    assert err == "error: ParameterError: matrix contains non-finite entries\n"
+    assert err == "error: ParameterError: lam and delta must be positive\n"
+
+
+@pytest.mark.parametrize("algorithm", ["admm_avg", "asalm"])
+@pytest.mark.parametrize("name", ["lam", "delta"])
+def test_rpca_nan_parameter_is_named(capsys, algorithm, name):
+    rc, _, err = run_cli(capsys, "rpca", f"--{name}", "nan", "--algorithms", algorithm,
+                         "--max-iter", "3")
+    assert rc == 2
+    assert name in err and "Traceback" not in err
+
+
+def test_consensus_nan_tol_exits_2(capsys):
+    rc, _, err = run_cli(capsys, "consensus", "--n", "5", "--tol", "nan", "--max-iter", "300")
+    assert rc == 2
+    assert err == "error: ParameterError: tol must be nonnegative, got nan\n"

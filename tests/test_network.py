@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from minsplit import (
     X_PASS,
     Z_PASS,
+    AbsValue,
+    Prng,
     ZeroOp,
     dr_step,
     gathered_z,
@@ -19,11 +23,12 @@ from minsplit import (
     run_round,
 )
 from minsplit.errors import ParameterError, ProtocolError, ShapeError
+from minsplit.network import RoundLog, _Mailbox
 
 from conftest import affine_ops
 
 
-def cycle_neighbours(i, n):
+def adjacent_nodes(i, n):
     return {((i - 2) % n) + 1, (i % n) + 1}
 
 
@@ -88,7 +93,7 @@ def test_message_audit():
         counts = {i: 0 for i in range(1, n + 1)}
         for msg in log.messages:
             counts[msg.from_node] += 1
-            assert msg.to_node in cycle_neighbours(msg.from_node, n)
+            assert msg.to_node in adjacent_nodes(msg.from_node, n)
             assert msg.kind in (Z_PASS, X_PASS)
         assert all(c == 2 for c in counts.values())
         assert len(log.messages) == 2 * n
@@ -152,6 +157,43 @@ def test_uninitialised_node_raises():
         run_round(nodes, 0.9, 1)
 
 
+@pytest.mark.parametrize("n, from_node, to_node", [(5, 1, 3), (5, 2, 2), (2, 2, 2)])
+def test_mailbox_rejects_non_adjacent_pairs(n, from_node, to_node):
+    mail = _Mailbox(n, RoundLog(round_index=1))
+    with pytest.raises(ProtocolError, match="may not message"):
+        mail.send(from_node, to_node, X_PASS, np.zeros(2))
+    assert mail.log.messages == []
+
+
+@pytest.mark.parametrize("n, from_node, to_node", [(5, 1, 5), (5, 5, 1), (2, 1, 2), (2, 2, 1)])
+def test_mailbox_accepts_adjacent_nodes(n, from_node, to_node):
+    mail = _Mailbox(n, RoundLog(round_index=1))
+    body = np.arange(2.0)
+    stored = mail.send(from_node, to_node, X_PASS, body)
+    assert np.array_equal(stored, body) and not np.shares_memory(stored, body)
+    assert mail.log.messages[-1].body is stored
+    assert mail.receive(to_node, from_node, X_PASS) is stored
+
+
+def test_mailbox_receive_on_empty_channel_raises():
+    mail = _Mailbox(3, RoundLog(round_index=1))
+    with pytest.raises(ProtocolError, match="expected a z message from node 2"):
+        mail.receive(1, 2, Z_PASS)
+    mail.send(2, 1, Z_PASS, np.zeros(1))
+    mail.receive(1, 2, Z_PASS)
+    with pytest.raises(ProtocolError):
+        mail.receive(1, 2, Z_PASS)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_x_values_are_the_sent_message_bodies(n):
+    _, ops = affine_ops(n, 2, seed=78)
+    log = run_round(make_nodes(ops, np.ones((n - 1, 2))), 0.9, 1)
+    for i in range(1, n + 1):
+        body = next(m.body for m in log.messages if m.from_node == i and m.kind == X_PASS)
+        assert np.shares_memory(log.x_values[i], body)
+
+
 def test_make_nodes_validates_shapes():
     inst, ops = affine_ops(3, 1, seed=75)
     with pytest.raises(ShapeError):
@@ -169,3 +211,28 @@ def test_round_log_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "round,node,message_kind,l2_norm_of_payload"
     assert len(lines) == 1 + 3 * 6  # 2 messages per node per round, 3 nodes
+
+
+# SHA-256 of every RoundLog field as first recorded.  AbsValue rounds use only
+# elementwise ufuncs, so the bytes depend on no matrix kernel and must not move
+# when a change only reorganises the round
+GOLDEN_ROUND_SHA256 = "6c6cc2a32edaa2d56536e911719659c5348ec9fa1d02508be31edd920db0b5ce"
+
+
+def test_round_logs_are_golden():
+    h = hashlib.sha256()
+    for n in (2, 3, 5, 37):
+        for gamma in (0.9, 1.0):
+            draw = Prng(n)
+            ops = [AbsValue(draw.normals(2)) for _ in range(n)]
+            z0 = draw.normals(2 * (n - 1)).reshape(n - 1, 2)
+            _, logs = run_protocol(make_nodes(ops, z0), gamma, rounds=12, tol=0.0)
+            for log in logs:
+                h.update(repr(log.round_index).encode())
+                for m in log.messages:
+                    h.update(repr((m.from_node, m.to_node, m.kind, m.round_index,
+                                   m.body.shape)).encode() + m.body.tobytes())
+                for values in (log.x_values, log.z_updates):
+                    for i, v in values.items():
+                        h.update(repr((i, v.shape)).encode() + v.tobytes())
+    assert h.hexdigest() == GOLDEN_ROUND_SHA256

@@ -90,6 +90,23 @@ def test_prox_abs_rejects_bad_step():
         prox_abs(np.array([1.0]), np.array([0.0]), 0.0)
 
 
+NAN_PARAMETER_CALLS = {
+    "prox_abs step": lambda: prox_abs(np.array([1.0]), np.array([0.0]), math.nan),
+    "prox_l1 lam": lambda: prox_l1(np.ones(3), math.nan),
+    "prox_nuclear lam": lambda: prox_nuclear(np.ones((3, 3)), math.nan),
+    "project_partial_ball delta": lambda: project_partial_ball(
+        np.ones((2, 2)), np.ones((2, 2), dtype=bool), math.nan),
+    "AffineOp step": lambda: AffineOp(np.eye(2), np.zeros(2)).resolvent(np.zeros(2), math.nan),
+    "ScaledOp alpha": lambda: ScaledOp(ZeroOp(), math.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_PARAMETER_CALLS))
+def test_range_checks_reject_nan(name):
+    with pytest.raises(ParameterError, match=name.split()[1]):
+        NAN_PARAMETER_CALLS[name]()
+
+
 # ---------------------------------------------------------------------------
 # prox_l1 / prox_nuclear
 

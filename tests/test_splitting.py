@@ -441,3 +441,8 @@ def test_scalar_path_reports_the_spread_of_its_final_outputs():
     report = mt_solve(gen_consensus(10, 3).operators(), dim=1, tol=1e-8, max_iter=300)
     assert report.trace.column_names == ["residual"]
     assert report.consensus_spread == consensus_spread(report.state.x)
+
+
+def test_stop_at_tol_rejects_nan():
+    with pytest.raises(ParameterError, match="tol"):
+        minsplit.splitting.stop_at_tol(float("nan"))
