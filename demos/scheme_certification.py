@@ -22,7 +22,6 @@ from minsplit import (
     mt_scheme,
     mt_solve,
     ryu4_scheme,
-    ryu4_step,
     save_scheme,
     witness_from_point,
 )
@@ -61,7 +60,7 @@ z = np.array([[0.0], [0.0], [1.0]])
 zero_ops = [ZeroOp() for _ in range(4)]
 norms = []
 for k in range(1, 9):
-    z, _ = ryu4_step(z, zero_ops, 0.5)
+    z = eval_scheme(bad, z, zero_ops)[0]
     norms.append(float(np.linalg.norm(z)))
 print("  ||z_k|| under zero operators:", " ".join(f"{v:.3f}" for v in norms))
 print("  (growth factor 1.5 per step: the dimension check is necessary,"

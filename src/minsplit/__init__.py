@@ -104,7 +104,6 @@ from .splitting import (
     product_dr_solve,
     ryu3_solve,
     ryu3_step,
-    ryu4_step,
 )
 from .trace import ResidualTrace
 

@@ -413,8 +413,6 @@ class _DualBlockOp(MonotoneOp):
     ``w_hat`` solves the block subproblem at offset ``v (- b)``.
     """
 
-    kind = "dual-block"
-
     def __init__(self, block, b=None):
         self._block = block
         self._b = b
@@ -492,6 +490,10 @@ def rpca_problem(observed, lam, delta):
     """
     if not isinstance(observed, PartialMatrix):
         raise ParameterError("observed must be a PartialMatrix")
+    if not lam >= 0:
+        raise ParameterError(f"lam must be nonnegative, got {lam}")
+    if not delta > 0:
+        raise ParameterError(f"delta must be positive, got {delta}")
     shape = observed.values.shape
     dim = shape[0] * shape[1]
     mask = observed.mask
@@ -532,8 +534,10 @@ def asalm_step(state, observed, lam, delta):
     shrinkage; low-rank update: singular value shrinkage; then one
     multiplier ascent on the constraint violation.
     """
-    if not (lam > 0 and delta > 0):
-        raise ParameterError("lam and delta must be positive")
+    if not lam > 0:
+        raise ParameterError(f"lam must be positive, got {lam}")
+    if not delta > 0:
+        raise ParameterError(f"delta must be positive, got {delta}")
     m_mat = observed.observed()
     fit = project_partial_ball(
         m_mat - state.low_rank - state.sparse - state.multiplier, observed.mask, delta
@@ -544,13 +548,14 @@ def asalm_step(state, observed, lam, delta):
     return AsalmState(fit=fit, sparse=sparse, low_rank=low_rank, multiplier=multiplier)
 
 
-def asalm_solve(observed, lam, delta, max_iter=2000, tol=0.0):
+def asalm_solve(observed, lam, delta, max_iter=2000):
     """Iterate :func:`asalm_step` from zero matrices.
 
     Records the relative change of the recovered (low-rank, sparse) pair
     and the constraint residual, both on all entries and restricted to the
-    observed mask.  Stops early only if ``tol > 0`` and the relative change
-    falls below it.  Returns ``(state, trace)``.
+    observed mask.  Runs the whole ``max_iter`` budget unless a sweep
+    diverges, and the trace shows which: the run diverged exactly when its
+    last ``relative_change`` is non-finite or above ``DIVERGENCE_CAP``.
     """
     state = asalm_init(observed.values.shape)
     m_mat = observed.observed()
@@ -570,7 +575,7 @@ def asalm_solve(observed, lam, delta, max_iter=2000, tol=0.0):
             "primal_residual_omega": float(np.linalg.norm(resid[observed.mask])),
         }
 
-    iterate(step, trace, max_iter, stop_at_tol(tol, "relative_change"), watch="relative_change")
+    iterate(step, trace, max_iter, lambda row: False, watch="relative_change")
     return state, trace
 
 
@@ -578,11 +583,11 @@ def asalm_solve(observed, lam, delta, max_iter=2000, tol=0.0):
 # primal-dual hybrid gradient baseline for cycle-graph consensus
 
 
-def pdhg_stepsizes(lap_norm, variant, margin=1e-6):
+def pdhg_stepsizes(lap_norm, variant):
     """Step pairs ``(tau, sigma)`` proportional to (1, 1), (10, 1/10), (1/10, 10).
 
     The raw products ``tau * sigma * ||L||^2`` would sit exactly on the
-    stability boundary; both factors are shrunk by ``sqrt(1 - margin)`` so
+    stability boundary; both factors are shrunk by ``sqrt(1 - 1e-6)`` so
     the strict inequality holds by construction.
     """
     if not lap_norm > 0:
@@ -591,7 +596,7 @@ def pdhg_stepsizes(lap_norm, variant, margin=1e-6):
     if variant not in ratios:
         raise ParameterError(f"variant must be 1, 2 or 3, got {variant}")
     a = ratios[variant]
-    shrink = math.sqrt(1.0 - margin)
+    shrink = math.sqrt(1.0 - 1e-6)
     return a * shrink / lap_norm, shrink / (a * lap_norm)
 
 

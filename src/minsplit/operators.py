@@ -98,12 +98,9 @@ class PartialMatrix:
 class MonotoneOp:
     """Base class: a maximally monotone operator accessed via its resolvent.
 
-    Subclasses must implement :meth:`resolvent`.  ``modulus`` is the strong
-    monotonicity modulus when one is known (0 means merely monotone).
+    Subclasses must implement :meth:`resolvent`; the solvers use no other
+    interface, except a pure-float ``resolvent_scalar`` where one exists.
     """
-
-    kind = "monotone"
-    modulus = 0.0
 
     def resolvent(self, y, step=1.0):
         raise NotImplementedError
@@ -111,8 +108,6 @@ class MonotoneOp:
 
 class ZeroOp(MonotoneOp):
     """The zero operator; its resolvent is the identity."""
-
-    kind = "zero"
 
     def resolvent(self, y, step=1.0):
         return np.asarray(y, dtype=np.float64).copy()
@@ -123,8 +118,6 @@ class ZeroOp(MonotoneOp):
 
 class AbsValue(MonotoneOp):
     """Subdifferential of ``|. - c|`` (componentwise for vector ``c``)."""
-
-    kind = "abs"
 
     def __init__(self, c):
         self.c = np.asarray(c, dtype=np.float64)
@@ -153,8 +146,6 @@ class AffineOp(MonotoneOp):
     resolvent calls inside solver loops cost one matrix-vector product.
     """
 
-    kind = "affine"
-
     def __init__(self, m, c):
         self.m = linalg.as_matrix(m, "m")
         self.c = linalg.as_vector(c, "c")
@@ -167,7 +158,6 @@ class AffineOp(MonotoneOp):
             raise ParameterError(
                 f"m + m^T has negative eigenvalue {lam_min:.3e}; operator not monotone"
             )
-        self.modulus = max(lam_min, 0.0)
         self._inv_cache = {}
 
     def resolvent(self, y, step=1.0):
@@ -182,8 +172,6 @@ class AffineOp(MonotoneOp):
 
 class PointIndicator(MonotoneOp):
     """Normal cone of the singleton ``{p}``; resolvent is constantly ``p``."""
-
-    kind = "point"
 
     def __init__(self, p):
         self.p = np.atleast_1d(np.asarray(p, dtype=np.float64))
@@ -201,8 +189,6 @@ class AffineSetIndicator(MonotoneOp):
     The resolvent is the orthogonal projection onto the set (step drops out).
     """
 
-    kind = "affine-set"
-
     def __init__(self, anchor, basis):
         self.anchor = linalg.as_vector(anchor, "anchor")
         basis = np.atleast_2d(np.asarray(basis, dtype=np.float64))
@@ -217,8 +203,6 @@ class AffineSetIndicator(MonotoneOp):
 class ConstantOp(MonotoneOp):
     """The constant operator ``x -> v``; resolvent ``y - step*v``."""
 
-    kind = "constant"
-
     def __init__(self, v):
         self.v = np.atleast_1d(np.asarray(v, dtype=np.float64))
 
@@ -229,14 +213,11 @@ class ConstantOp(MonotoneOp):
 class ScaledOp(MonotoneOp):
     """The operator ``alpha * A`` for ``alpha > 0``, via step rescaling."""
 
-    kind = "scaled"
-
     def __init__(self, op, alpha):
         if not alpha > 0:
             raise ParameterError(f"alpha must be positive, got {alpha}")
         self.op = op
         self.alpha = alpha
-        self.modulus = alpha * op.modulus
 
     def resolvent(self, y, step=1.0):
         return self.op.resolvent(y, step * self.alpha)
@@ -245,10 +226,8 @@ class ScaledOp(MonotoneOp):
 class ProxOp(MonotoneOp):
     """Wrap a callable ``(y, step) -> J(y)`` as a monotone operator."""
 
-    def __init__(self, fn, kind="custom", modulus=0.0):
+    def __init__(self, fn):
         self._fn = fn
-        self.kind = kind
-        self.modulus = modulus
 
     def resolvent(self, y, step=1.0):
         return self._fn(np.asarray(y, dtype=np.float64), step)

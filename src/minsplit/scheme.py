@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFixedPointError, ParameterError, ShapeError
-from .splitting import _lifted, consensus_spread, iterate, stop_at_tol
+from .splitting import _lifted, _sweeps, consensus_spread, iterate, stop_at_tol
 from .trace import read_blocks, write_rows
 
 
@@ -106,7 +106,9 @@ def ryu3_scheme(gamma):
 
 
 def ryu4_scheme(gamma):
-    """Matrices of the divergent four-operator extension (three blocks)."""
+    """Matrices of the divergent four-operator extension (three blocks), a
+    regression witness: run through :func:`eval_scheme` on zero operators, its
+    iteration grows at rate ``1 + gamma``."""
     b = np.array(
         [
             [1.0, 0.0, 0.0],
@@ -241,17 +243,9 @@ def solve_scheme(s, ops, z0=None, tol=1e-10, max_iter=100000, dim=None):
     ``||T(z) - z|| <= tol`` (``tol = 0`` runs all ``max_iter`` sweeps).
     """
     z = _lifted(z0, s.d, dim, name="z0")
-
-    def step():
-        nonlocal z
-        z_next = eval_scheme(s, z, ops)[0]
-        delta = float(np.linalg.norm(z_next - z))
-        z = z_next
-        return {"delta": delta}
-
-    stop = stop_at_tol(tol, "delta")
-    k, converged, diverged = iterate(step, None, max_iter, stop, watch="delta")
-    return z, converged, diverged, k
+    step, final = _sweeps(lambda z: eval_scheme(s, z, ops)[::2], z, 1.0)
+    k, converged, diverged = iterate(step, None, max_iter, stop_at_tol(tol))
+    return final()[0], converged, diverged, k
 
 
 def save_scheme(s, path):

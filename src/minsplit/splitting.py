@@ -4,9 +4,9 @@ The centrepiece is the minimal-memory splitting for ``n >= 2`` operators: it
 iterates on ``n-1`` coupled blocks, calls each resolvent exactly once per
 sweep, and relaxes with a factor ``gamma``.  For ``n = 2`` it reduces to the
 relaxed Douglas-Rachford iteration.  Also here: the three-operator scheme of
-Ryu, its divergent four-operator extension (kept as a regression witness),
-the product-space Douglas-Rachford method, and a sampling check of the
-three-term averagedness inequality that underpins convergence.
+Ryu, the product-space Douglas-Rachford method, and a sampling check of the
+three-term averagedness inequality that underpins convergence.  Ryu's
+divergent four-operator extension is :func:`minsplit.scheme.ryu4_scheme`.
 
 Conventions: a lifted point is an ``(n-1, dim)`` array of blocks, resolvent
 outputs are ``(n, dim)``.  The reported residual is ``||z_next - z|| / gamma``,
@@ -93,7 +93,7 @@ def iterate(step, trace, max_iter, stop, watch="residual"):
 
     ``step()`` advances the caller's state by one sweep and returns the
     sweep's row of named values, which is appended to ``trace`` (unless it
-    is ``None``) under the sweep number.  The run ends at the first sweep
+    is ``None``) as row ``k`` for sweep ``k``.  The run ends at the first sweep
     whose ``watch`` value is non-finite or above :data:`DIVERGENCE_CAP`
     (diverged), or whose row satisfies ``stop(row)`` (converged).
 
@@ -105,7 +105,7 @@ def iterate(step, trace, max_iter, stop, watch="residual"):
     for k in range(1, max_iter + 1):
         row = step()
         if trace is not None:
-            trace.append(k, row)
+            trace.append(row)
         m = row[watch]
         if not math.isfinite(m) or m > DIVERGENCE_CAP:
             return k, False, True
@@ -322,30 +322,6 @@ def ryu3_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=None):
     return _solve_report(step, max_iter, tol, final)
 
 
-def ryu4_step(z, ops, gamma):
-    """The four-operator extension of Ryu's scheme on three lifted blocks.
-
-    Kept as a regression witness: with four merely monotone operators its
-    fixed-point iteration can diverge geometrically (rate ``1 + gamma`` on
-    the zero-operator instance), although any fixed point it does have still
-    encodes a zero of the sum.  Making the fourth operator strongly monotone
-    does not repair it: the third block keeps the ``1 + gamma`` expansion
-    whatever the modulus, so the iteration still diverges (the strict xfail
-    ``test_ryu4_strongly_monotone_fourth_operator_converges`` records this).
-    """
-    if len(ops) != 4:
-        raise ParameterError(f"scheme takes exactly 4 operators, got {len(ops)}")
-    _check_gamma(gamma, math.inf, include_hi=False)
-    z = _lifted(z, 3, None)
-    x = np.empty((4, z.shape[1]))
-    x[0] = ops[0].resolvent(z[0])
-    x[1] = ops[1].resolvent(z[1] + x[0])
-    x[2] = ops[2].resolvent(x[1] - x[0] - z[2])
-    x[3] = ops[3].resolvent(x[0] - z[0] + x[1] - z[1] + x[2] + z[2])
-    z_next = z + gamma * (x[3] - x[:3])
-    return z_next, x
-
-
 def product_dr_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=None):
     """Douglas-Rachford on the product space with the diagonal constraint.
 
@@ -404,7 +380,7 @@ def averagedness_sample(update, gamma, prng, blocks, dim, pairs):
     return worst
 
 
-def averagedness_check(ops, gamma, trials, dim=None, seed=0):
+def averagedness_check(ops, gamma, trials, dim=1, seed=0):
     """Sample the three-term averagedness inequality on random point pairs.
 
     Returns the worst :func:`averagedness_sample` slack of the map
@@ -413,8 +389,6 @@ def averagedness_check(ops, gamma, trials, dim=None, seed=0):
     non-averaged map exposes positive slack quickly.
     """
     _check_gamma(gamma)
-    if dim is None:
-        dim = 1
     return averagedness_sample(
         lambda z: mt_step(z, ops, gamma)[0], gamma, Prng(seed), len(ops) - 1, dim, trials
     )

@@ -18,32 +18,26 @@ def format_float(v):
 
 
 class ResidualTrace:
-    """Columnar per-iteration records: iteration index and named values."""
+    """Columnar per-sweep records of named values; row ``k`` is sweep ``k``."""
 
     def __init__(self, columns):
         self.column_names = list(columns)
-        self.ks = []
         self.columns = {name: [] for name in self.column_names}
 
-    def append(self, k, values):
-        self.ks.append(int(k))
+    def append(self, values):
         for name in self.column_names:
             self.columns[name].append(float(values[name]))
 
     def __len__(self):
-        return len(self.ks)
+        return len(self.columns[self.column_names[0]]) if self.column_names else 0
 
     def last(self, name):
         return self.columns[name][-1]
 
     def rows(self, names=None):
         names = self.column_names if names is None else list(names)
-        for idx, k in enumerate(self.ks):
-            yield [str(k)] + [format_float(self.columns[n][idx]) for n in names]
-
-    def to_csv(self, path, names=None):
-        names = self.column_names if names is None else list(names)
-        write_csv(path, ["k"] + names, self.rows(names))
+        for idx in range(len(self)):
+            yield [str(idx + 1)] + [format_float(self.columns[n][idx]) for n in names]
 
 
 def write_csv(path, header, rows):

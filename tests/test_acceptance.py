@@ -42,7 +42,7 @@ from minsplit import (
     kernel_residuals,
     lifting_ok,
     witness_from_point,
-    ryu4_step,
+    ryu4_scheme,
 )
 from conftest import affine_ops
 
@@ -109,10 +109,10 @@ def test_criterion_2_literal_fifth_power():
 
 def test_criterion_3_divergence_witness():
     ops = [ZeroOp() for _ in range(4)]
-    gamma = 0.5
+    s = ryu4_scheme(0.5)
     z = np.array([[0.0], [0.0], [1.0]])
     for k in range(1, 41):
-        z, _ = ryu4_step(z, ops, gamma)
+        z = eval_scheme(s, z, ops)[0]
         ratio = float(np.linalg.norm(z)) / 1.5**k
         assert 1.0 - 1e-9 <= ratio <= 1.0 + 1e-9
     print("criterion 3 PASS: four-operator extension grows at exactly 1.5^k "

@@ -477,8 +477,21 @@ def test_pdhg_rejects_boundary_product():
 @pytest.mark.parametrize("lam, delta", [(math.nan, 0.1), (0.25, math.nan)])
 def test_asalm_step_rejects_nan_parameters(lam, delta):
     observed = PartialMatrix(values=np.zeros((4, 4)), mask=np.ones((4, 4), dtype=bool))
-    with pytest.raises(ParameterError, match="lam and delta"):
+    name = "lam" if math.isnan(lam) else "delta"
+    with pytest.raises(ParameterError, match=f"{name} must be positive, got nan"):
         asalm_step(asalm_init((4, 4)), observed, lam, delta)
+
+
+@pytest.mark.parametrize("lam, delta, message", [
+    (math.nan, 0.1, "lam must be nonnegative, got nan"),
+    (-1.0, 0.1, "lam must be nonnegative, got -1.0"),
+    (0.25, math.nan, "delta must be positive, got nan"),
+    (0.25, 0.0, "delta must be positive, got 0.0"),
+])
+def test_rpca_problem_checks_lam_and_delta(lam, delta, message):
+    observed = PartialMatrix(values=np.zeros((4, 4)), mask=np.ones((4, 4), dtype=bool))
+    with pytest.raises(ParameterError, match=message):
+        rpca_problem(observed, lam, delta)
 
 
 def test_pdhg_rejects_nan_steps():

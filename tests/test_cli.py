@@ -268,16 +268,29 @@ def test_non_finite_parameter_exits_2_without_traceback(capsys):
     rc, _, err = run_cli(capsys, "rpca", "--lam", "nan", "--algorithms", "asalm",
                          "--max-iter", "3")
     assert rc == 2
-    assert err == "error: ParameterError: lam and delta must be positive\n"
+    assert err == "error: ParameterError: lam must be nonnegative, got nan\n"
 
 
-@pytest.mark.parametrize("algorithm", ["admm_avg", "asalm"])
+@pytest.mark.parametrize("algorithm", ["admm_avg", "admm_auglag", "asalm"])
 @pytest.mark.parametrize("name", ["lam", "delta"])
 def test_rpca_nan_parameter_is_named(capsys, algorithm, name):
     rc, _, err = run_cli(capsys, "rpca", f"--{name}", "nan", "--algorithms", algorithm,
                          "--max-iter", "3")
     assert rc == 2
-    assert name in err and "Traceback" not in err
+    rule = {"lam": "nonnegative", "delta": "positive"}[name]
+    assert err == f"error: ParameterError: {name} must be {rule}, got nan\n"
+
+
+@pytest.mark.parametrize("flag, value, algorithm, message", [
+    ("--lam", "0", "asalm", "lam must be positive, got 0.0"),
+    ("--lam", "-1", "admm_auglag", "lam must be nonnegative, got -1.0"),
+    ("--delta", "0", "admm_avg", "delta must be positive, got 0.0"),
+])
+def test_rpca_out_of_range_parameter_is_named(capsys, flag, value, algorithm, message):
+    rc, _, err = run_cli(capsys, "rpca", flag, value, "--algorithms", algorithm,
+                         "--max-iter", "3")
+    assert rc == 2
+    assert err == f"error: ParameterError: {message}\n"
 
 
 def test_consensus_nan_tol_exits_2(capsys):

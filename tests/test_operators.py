@@ -11,15 +11,20 @@ from minsplit import (
     AffineOp,
     AffineSetIndicator,
     ConstantOp,
+    MonotoneOp,
     PartialMatrix,
     PointIndicator,
+    ProxOp,
     ScaledOp,
+    SepProblem,
     ZeroOp,
+    dual_ops,
     firmness_gap,
     prox_abs,
     prox_l1,
     prox_nuclear,
     project_partial_ball,
+    quadratic_block,
 )
 from minsplit.errors import ParameterError, ShapeError
 
@@ -289,16 +294,26 @@ def test_prox_abs_prox_inequality(rng):
 # the operator zoo is firmly nonexpansive
 
 
-def _zoo(rng):
-    inst, ops = affine_ops(2, 3, seed=77)
+def _zoo(rng, dim=3, seed=77):
+    # one operator of every class in the package, each acting on R^dim; the
+    # dual block operators come from a two-block quadratic problem
+    inst, ops = affine_ops(2, dim, seed=seed)
+    blocks = []
+    for _ in range(2):
+        p_ = rng.standard_normal((3, 3))
+        blocks.append(quadratic_block(p_.T @ p_ + 0.4 * np.eye(3), rng.standard_normal(3),
+                                      rng.standard_normal((dim, 3))))
+    duals = dual_ops(SepProblem(blocks=tuple(blocks), b=rng.standard_normal(dim)))
     return [
         ZeroOp(),
-        AbsValue(rng.standard_normal(3)),
+        AbsValue(rng.standard_normal(dim)),
         ops[0],
-        PointIndicator(rng.standard_normal(3)),
-        AffineSetIndicator(rng.standard_normal(3), rng.standard_normal((1, 3))),
-        ConstantOp(rng.standard_normal(3)),
+        PointIndicator(rng.standard_normal(dim)),
+        AffineSetIndicator(rng.standard_normal(dim), rng.standard_normal((1, dim))),
+        ConstantOp(rng.standard_normal(dim)),
         ScaledOp(ops[1], 0.35),
+        ProxOp(prox_l1),
+        *duals,
     ]
 
 
@@ -308,13 +323,19 @@ def test_zoo_firmly_nonexpansive(rng):
             firmness_gap(op, rng.standard_normal(3), rng.standard_normal(3))
             for _ in range(100)
         )
-        assert worst <= 1e-10, op.kind
+        assert worst <= 1e-10, type(op).__name__
 
 
-def test_scaled_op_modulus():
-    inst, ops = affine_ops(2, 3, seed=78, moduli=(0.4, 0.2))
-    scaled = ScaledOp(ops[0], 2.5)
-    assert scaled.modulus == pytest.approx(2.5 * ops[0].modulus)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5))
+def test_every_operator_class_is_firmly_nonexpansive(seed, dim):
+    rng = np.random.default_rng(seed)
+    zoo = _zoo(rng, dim, seed)
+    package_classes = {c for c in MonotoneOp.__subclasses__() if c.__module__.startswith("minsplit")}
+    assert package_classes <= {type(op) for op in zoo}
+    for op in zoo:
+        for _ in range(5):
+            gap = firmness_gap(op, rng.standard_normal(dim), rng.standard_normal(dim))
+            assert gap <= 1e-10, type(op).__name__
 
 
 def test_partial_matrix_validation(rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import minsplit.splitting
 from minsplit import (
@@ -11,6 +13,8 @@ from minsplit import (
     averagedness_check,
     consensus_spread,
     dr_step,
+    eval_scheme,
+    gen_affine_monotone,
     gen_consensus,
     make_nodes,
     mt_solve,
@@ -20,7 +24,7 @@ from minsplit import (
     run_protocol,
     ryu3_solve,
     ryu3_step,
-    ryu4_step,
+    ryu4_scheme,
 )
 from minsplit.errors import ParameterError, ShapeError
 
@@ -138,7 +142,7 @@ def test_mt_solve_requires_gamma_below_one():
 
 def test_mt_solve_reports_nonconvergence():
     # a deliberately expansive fake resolvent trips the divergence guard
-    bad = ProxOp(lambda y, step: 3.0 * y, kind="expansive")
+    bad = ProxOp(lambda y, step: 3.0 * y)
     report = mt_solve([bad, bad, bad], gamma=0.9,
                       z0=np.ones((2, 1)), tol=1e-8, max_iter=500)
     assert not report.converged
@@ -275,9 +279,10 @@ def test_ryu3_and_mt_find_same_zero():
 
 def test_ryu4_zero_ops_divergence_rate():
     for gamma in (0.25, 0.5, 0.9):
+        s = ryu4_scheme(gamma)
         z = np.array([[0.0], [0.0], [1.0]])
         for k in range(1, 41):
-            z, _ = ryu4_step(z, zeros_ops(4), gamma)
+            z = eval_scheme(s, z, zeros_ops(4))[0]
             ratio = np.linalg.norm(z) / (1.0 + gamma) ** k
             assert abs(ratio - 1.0) <= 1e-9
 
@@ -290,7 +295,7 @@ def test_ryu4_fixed_point_encodes_zero():
 
     def apply_t(vec):
         z = vec.reshape(3, dim)
-        z_next, x = ryu4_step(z, ops, 0.5)
+        z_next, _, x, _ = eval_scheme(ryu4_scheme(0.5), z, ops)
         return z_next.ravel(), x
 
     base, _ = apply_t(np.zeros(9))
@@ -322,9 +327,10 @@ def test_ryu4_strongly_monotone_fourth_operator_converges():
     # make the fourth operator 1-strongly monotone, rebalancing its offset
     # so the recorded zero is unchanged
     ops[3] = AffineOp(inst.mats[3] + np.eye(3), inst.offsets[3] - inst.solution)
+    s = ryu4_scheme(0.5)
     z = np.zeros((3, 3))
     for _ in range(5000):
-        z, x = ryu4_step(z, ops, 0.5)
+        z, _, x, _ = eval_scheme(s, z, ops)
         if np.linalg.norm(z) > 1e12:
             pytest.fail("iteration diverged")
     assert consensus_spread(x) <= 1e-6
@@ -376,6 +382,15 @@ def test_averagedness_inequality(n, gamma):
         inst, ops = affine_ops(n, 3, seed=100 * n + seed)
         worst = max(worst, averagedness_check(ops, gamma, trials=10, dim=3, seed=seed))
     assert worst <= 1e-9
+
+
+# a subnormal gamma is left out: there (1 - gamma) / gamma overflows to inf,
+# and the sampler reports the resulting non-finite slack as a failure
+@given(n=st.integers(2, 8), dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False))
+def test_averagedness_inequality_on_drawn_instances(n, dim, seed, gamma):
+    ops = gen_affine_monotone(n, dim, seed).operators()
+    assert averagedness_check(ops, gamma, 10, dim=dim, seed=seed) <= 1e-9
 
 
 def test_averagedness_isometry_equality():

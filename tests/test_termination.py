@@ -44,8 +44,6 @@ from minsplit.splitting import DIVERGENCE_CAP, averagedness_sample, iterate
 class NanOp(MonotoneOp):
     """A broken resolvent that returns NaN, on the array and the scalar path."""
 
-    kind = "nan"
-
     def resolvent(self, y, step=1.0):
         return np.full_like(np.asarray(y, dtype=np.float64), np.nan)
 
@@ -182,7 +180,7 @@ def test_iterate_traces_every_sweep_and_stops_on_the_callers_test():
     run = iterate(_replay_rows([3.0, 2.0, 1.0, 0.5]), trace, 10,
                   lambda row: row["residual"] <= 1.0)
     assert run == (3, True, False)
-    assert trace.ks == [1, 2, 3]
+    assert [row[0] for row in trace.rows()] == ["1", "2", "3"]
     assert trace.columns["residual"] == [3.0, 2.0, 1.0]
 
 

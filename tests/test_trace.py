@@ -9,12 +9,12 @@ def test_format_float_round_trips():
 
 def test_trace_records_and_serialises(tmp_path):
     trace = ResidualTrace(["residual", "spread"])
-    trace.append(1, {"residual": 0.5, "spread": 0.25})
-    trace.append(2, {"residual": 0.125, "spread": 0.0625})
+    trace.append({"residual": 0.5, "spread": 0.25})
+    trace.append({"residual": 0.125, "spread": 0.0625})
     assert len(trace) == 2
     assert trace.last("residual") == 0.125
     path = tmp_path / "t.csv"
-    trace.to_csv(path)
+    write_csv(path, ["k"] + trace.column_names, trace.rows())
     lines = path.read_text().splitlines()
     assert lines[0] == "k,residual,spread"
     assert lines[1] == "1,0.5,0.25"
