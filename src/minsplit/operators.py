@@ -142,8 +142,8 @@ class AbsValue(MonotoneOp):
 class AffineOp(MonotoneOp):
     """Affine monotone operator ``x -> m @ x + c`` with ``m + m^T >= 0``.
 
-    The inverse of ``I + step*m`` is cached per step value, so repeated
-    resolvent calls inside solver loops cost one matrix-vector product.
+    The cache holds ``(inv(I + step*m), step*c)`` per step value, so a repeat
+    resolvent call costs one subtraction and one matrix-vector product.
     """
 
     def __init__(self, m, c):
@@ -158,16 +158,16 @@ class AffineOp(MonotoneOp):
             raise ParameterError(
                 f"m + m^T has negative eigenvalue {lam_min:.3e}; operator not monotone"
             )
-        self._inv_cache = {}
+        self._cache = {}
 
     def resolvent(self, y, step=1.0):
         if not step > 0:
             raise ParameterError(f"step must be positive, got {step}")
-        inv = self._inv_cache.get(step)
-        if inv is None:
+        if step not in self._cache:
             inv = np.linalg.inv(np.eye(self.m.shape[0]) + step * self.m)
-            self._inv_cache[step] = inv
-        return inv @ (np.asarray(y, dtype=np.float64) - step * self.c)
+            self._cache[step] = (inv, step * self.c)
+        inv, shift = self._cache[step]
+        return inv @ (np.asarray(y, dtype=np.float64) - shift)
 
 
 class PointIndicator(MonotoneOp):

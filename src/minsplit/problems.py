@@ -50,18 +50,26 @@ class Prng:
         return (self._raw(k) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def normals(self, k):
-        """k standard normals via Box-Muller pairs."""
+        """k standard normals via Box-Muller pairs: one row of :meth:`normal_rows`."""
+        return self.normal_rows(1, k)[0]
+
+    def normal_rows(self, count, k):
+        """``count`` successive ``normals(k)`` draws as rows, bit for bit.
+
+        Not :meth:`normal_matrix`: its one ``normals(rows * cols)`` call takes
+        the same raw words but pairs them differently.
+        """
         m = (k + 1) // 2
-        raw = self._raw(2 * m)
+        raw = self._raw(2 * m * count).reshape(count, 2, m)
         # u1 in (0, 1] so the logarithm is finite
-        u1 = ((raw[:m] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-        u2 = (raw[m:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u1 = ((raw[:, 0] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+        u2 = (raw[:, 1] >> np.uint64(11)).astype(np.float64) * 2.0**-53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
-        out = np.empty(2 * m)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:k]
+        out = np.empty((count, 2 * m))
+        out[:, 0::2] = r * np.cos(theta)
+        out[:, 1::2] = r * np.sin(theta)
+        return out[:, :k]
 
     def normal_matrix(self, rows, cols):
         return self.normals(rows * cols).reshape(rows, cols)

@@ -351,32 +351,39 @@ def averagedness_sample(update, gamma, prng, blocks, dim, pairs):
     """Worst relative slack of the three-term averagedness inequality.
 
     Draws ``pairs`` random pairs, ``z`` then ``z_bar``, of shape
-    ``(blocks, dim)`` from ``prng``.  With ``T = update`` and ``r = z - Tz``
-    the slack of a pair is
+    ``(blocks, dim)`` from ``prng``, up to 64 pairs per :meth:`Prng.normal_rows`
+    call, and calls ``update`` once per point.  With ``T = update`` and
+    ``r = z - Tz`` the slack of a pair is
 
     ``(||Tz - Tz_bar||^2 + (1-gamma)/gamma ||r - r_bar||^2
     + 1/gamma ||sum_i r_i - sum_i r_bar_i||^2 - ||z - z_bar||^2)
     / (1 + ||z - z_bar||^2)``,
 
     which must be nonpositive up to roundoff when ``T`` is averaged.  A
-    non-finite slack ends the sampling and returns ``inf``.
+    non-finite slack ends the sampling, with ``prng`` just past that pair,
+    and returns ``inf``.  ``gamma > 0`` with ``(1-gamma)/gamma`` finite.
     """
+    if not (gamma > 0 and math.isfinite((1.0 - gamma) / gamma)):
+        raise ParameterError(f"gamma must be positive with (1-gamma)/gamma finite, got {gamma}")
+    shrink = (1.0 - gamma) / gamma
+    words = (blocks * dim + 1) // 2 * 2  # raw words behind one drawn point
     worst = -np.inf
-    for _ in range(pairs):
-        z = prng.normals(blocks * dim).reshape(blocks, dim)
-        z_bar = prng.normals(blocks * dim).reshape(blocks, dim)
-        tz = update(z)
-        tz_bar = update(z_bar)
-        r = z - tz
-        r_bar = z_bar - tz_bar
-        lhs = float(np.linalg.norm(tz - tz_bar) ** 2)
-        lhs += (1.0 - gamma) / gamma * float(np.linalg.norm(r - r_bar) ** 2)
-        lhs += float(np.linalg.norm((r - r_bar).sum(axis=0)) ** 2) / gamma
-        rhs = float(np.linalg.norm(z - z_bar) ** 2)
-        slack = (lhs - rhs) / (1.0 + rhs)
-        if not math.isfinite(slack):
-            return math.inf
-        worst = max(worst, slack)
+    for first in range(0, pairs, 64):
+        rows = prng.normal_rows(2 * min(64, pairs - first), blocks * dim)
+        for p, (z, z_bar) in enumerate(rows.reshape(-1, 2, blocks, dim)):
+            tz = update(z)
+            tz_bar = update(z_bar)
+            r = z - tz
+            r_bar = z_bar - tz_bar
+            lhs = float(np.linalg.norm(tz - tz_bar) ** 2)
+            lhs += shrink * float(np.linalg.norm(r - r_bar) ** 2)
+            lhs += float(np.linalg.norm((r - r_bar).sum(axis=0)) ** 2) / gamma
+            rhs = float(np.linalg.norm(z - z_bar) ** 2)
+            slack = (lhs - rhs) / (1.0 + rhs)
+            if not math.isfinite(slack):
+                prng._count -= (len(rows) - 2 * p - 2) * words  # as if drawn pair by pair
+                return math.inf
+            worst = max(worst, slack)
     return worst
 
 

@@ -132,6 +132,42 @@ def test_consensus_csv_bytes_are_golden(tmp_path, capsys, n, algorithms):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[algorithms]
 
 
+# exit code and SHA-256 of the stdout of `verify --builtin X --seed S`; the
+# averaged schemes pass and ryu3, ryu4 fail.  The report prints the slack with
+# repr, so these move whenever a sampled point or a slack changes a single bit
+GOLDEN_VERIFY = {
+    ("mt:4", 1): (0, "a2c54bc330f0103ad04442d1ab3ebd7fe68b463090b8c02771b02f6cd4c35082"),
+    ("mt:4", 2): (0, "9f197de3984fff05ece6d4e6b8e55531fe4a8805e1b8f038dca03b3de88704fd"),
+    ("mt:4", 3): (0, "17dc1d3cc7e1122c89cca6cd7e22f2c4e93baa0af0ee442c87f1cc5e4ef4e7cf"),
+    ("dr", 1): (0, "3767bded697481ad05ea25c1a179ec81de3f3cebf8385a8da86503636acfad58"),
+    ("dr", 2): (0, "8ae5abe156604002089647e2325e66684e107f011e45e0437af2b7cd105e1fe5"),
+    ("dr", 3): (0, "d9a25194e22bba9ae4b8d7972c0566af6211e64e8ec7391386fc9d148584c019"),
+    ("ryu3", 1): (1, "bee57ff734cf762eadfab8cc1a5842fa4787d583353e1a10dc217d11c224c784"),
+    ("ryu3", 2): (1, "238d7da306c86dcf63b8a21fe8bafc490fcf6b74af40801fd00e0120b24876c1"),
+    ("ryu3", 3): (1, "fb0c2e567c2c379cdab3687e491dc3676dab9081d43300a3355d4e5f6b941680"),
+    ("ryu4", 1): (1, "e110ed061bc245b31b4b2ea6d7d7dd0c0f522be39cd96bad2cf09dfa4f8cec40"),
+    ("ryu4", 2): (1, "3e180b60a3c652cb6de8bb658d99a4709fb7431b7aa632977500f52f0e515003"),
+    ("ryu4", 3): (1, "1997178cae5abd97d5ba07f8eabfc3a419977d0b0a3a854cc7dd1ec1be7f8e57"),
+}
+
+
+@pytest.mark.parametrize("builtin, seed", sorted(GOLDEN_VERIFY))
+def test_verify_stdout_is_golden(capsys, builtin, seed):
+    rc, stdout, _ = run_cli(capsys, "verify", "--builtin", builtin, "--seed", str(seed))
+    assert (rc, hashlib.sha256(stdout.encode()).hexdigest()) == GOLDEN_VERIFY[builtin, seed]
+
+
+# gammas the averagedness sampler cannot use: a subnormal one overflows
+# (1 - gamma) / gamma, zero divides by zero, a negative one weakens the inequality
+@pytest.mark.parametrize("gamma, shown", [("1e-310", "1e-310"), ("0", "0.0"), ("-0.5", "-0.5")])
+def test_verify_bad_gamma_exits_2_with_parameter_error(capsys, gamma, shown):
+    rc, stdout, err = run_cli(capsys, "verify", "--builtin", "mt:4", "--gamma", gamma)
+    assert rc == 2
+    assert err == ("error: ParameterError: gamma must be positive with (1-gamma)/gamma "
+                   f"finite, got {shown}\n")
+    assert "averagedness" not in stdout
+
+
 def test_verify_rejects_underlifted_scheme(tmp_path, capsys):
     # a syntactically valid scheme with d = n - 2 must fail the dimension check
     path = tmp_path / "under.txt"

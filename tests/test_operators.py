@@ -251,6 +251,20 @@ def test_affine_op_firmly_nonexpansive(rng):
         assert gap <= 1e-10
 
 
+def test_affine_op_caches_inverse_and_shift_per_step(rng):
+    a = rng.standard_normal((4, 4))
+    k = rng.standard_normal((4, 4))
+    m = a.T @ a + 0.5 * (k - k.T)
+    c = rng.standard_normal(4)
+    op = AffineOp(m, c)
+    for _ in range(3):
+        for step in (1.0, 0.3):
+            y = rng.standard_normal(4)
+            fresh = np.linalg.inv(np.eye(4) + step * m) @ (y - step * c)
+            assert op.resolvent(y, step).tobytes() == fresh.tobytes()
+    assert sorted(op._cache) == [0.3, 1.0]
+
+
 def test_affine_op_rejects_nonmonotone():
     with pytest.raises(ParameterError):
         AffineOp(-np.eye(2), np.zeros(2))

@@ -62,6 +62,16 @@ def test_prng_normals_box_muller_reference():
     assert np.allclose(got, expected, rtol=0, atol=0)
 
 
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 40), count=st.integers(1, 70))
+def test_prng_normal_rows_equal_successive_normals(seed, k, count):
+    bulk, single = Prng(seed), Prng(seed)
+    rows = bulk.normal_rows(count, k)
+    assert rows.shape == (count, k)
+    expected = np.array([single.normals(k) for _ in range(count)])
+    assert rows.tobytes() == expected.tobytes()
+    assert bulk._count == single._count
+
+
 def test_prng_stream_continues():
     p = Prng(5)
     first = p.uniforms(3)

@@ -8,6 +8,7 @@ from minsplit import (
     AffineOp,
     AffineSetIndicator,
     PointIndicator,
+    Prng,
     ProxOp,
     ZeroOp,
     averagedness_check,
@@ -17,16 +18,19 @@ from minsplit import (
     gen_affine_monotone,
     gen_consensus,
     make_nodes,
+    mt_scheme,
     mt_solve,
     mt_step,
     pr_solve,
     product_dr_solve,
     run_protocol,
     ryu3_solve,
+    ryu3_scheme,
     ryu3_step,
     ryu4_scheme,
 )
 from minsplit.errors import ParameterError, ShapeError
+from minsplit.splitting import averagedness_sample
 
 from conftest import affine_ops, count_calls
 
@@ -385,12 +389,83 @@ def test_averagedness_inequality(n, gamma):
 
 
 # a subnormal gamma is left out: there (1 - gamma) / gamma overflows to inf,
-# and the sampler reports the resulting non-finite slack as a failure
+# and the sampler rejects it (test_averagedness_sample_rejects_gamma)
 @given(n=st.integers(2, 8), dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=False))
 def test_averagedness_inequality_on_drawn_instances(n, dim, seed, gamma):
     ops = gen_affine_monotone(n, dim, seed).operators()
     assert averagedness_check(ops, gamma, 10, dim=dim, seed=seed) <= 1e-9
+
+
+def reference_averagedness_sample(update, gamma, prng, blocks, dim, pairs):
+    # the sampler drawing pair by pair with one normals call per point, kept
+    # as the reference: the same operations in the same order
+    worst = -np.inf
+    for _ in range(pairs):
+        z = prng.normals(blocks * dim).reshape(blocks, dim)
+        z_bar = prng.normals(blocks * dim).reshape(blocks, dim)
+        tz = update(z)
+        tz_bar = update(z_bar)
+        r = z - tz
+        r_bar = z_bar - tz_bar
+        lhs = float(np.linalg.norm(tz - tz_bar) ** 2)
+        lhs += (1.0 - gamma) / gamma * float(np.linalg.norm(r - r_bar) ** 2)
+        lhs += float(np.linalg.norm((r - r_bar).sum(axis=0)) ** 2) / gamma
+        rhs = float(np.linalg.norm(z - z_bar) ** 2)
+        slack = (lhs - rhs) / (1.0 + rhs)
+        if not np.isfinite(slack):
+            return np.inf
+        worst = max(worst, slack)
+    return worst
+
+
+SAMPLED_SCHEMES = {"mt_scheme(4)": lambda gamma: mt_scheme(4, gamma),
+                   "ryu3_scheme": ryu3_scheme, "ryu4_scheme": ryu4_scheme}
+
+
+@given(name=st.sampled_from(["mt_step", *SAMPLED_SCHEMES]), n=st.integers(2, 6),
+       dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.05, 0.95),
+       pairs=st.integers(1, 140), poison=st.none() | st.integers(0, 279))
+def test_averagedness_sample_matches_pair_at_a_time_reference(name, n, dim, seed, gamma, pairs,
+                                                              poison):
+    # same worst slack bits, same points, one point per map call, and the
+    # generator left where the reference leaves it, also after a NaN output
+    if name == "mt_step":
+        ops = gen_affine_monotone(n, dim, seed).operators()
+        blocks, step = n - 1, lambda z: mt_step(z, ops, gamma)[0]
+    else:
+        sch = SAMPLED_SCHEMES[name](gamma)
+        ops = gen_affine_monotone(sch.n, dim, seed).operators()
+        blocks, step = sch.d, lambda z: eval_scheme(sch, z, ops)[0]
+
+    def recorded(points):
+        def update(z):
+            points.append(z.copy())
+            return step(z) * np.nan if len(points) - 1 == poison else step(z)
+        return update
+
+    got, want = [], []
+    bulk, single = Prng(seed), Prng(seed)
+    worst = averagedness_sample(recorded(got), gamma, bulk, blocks, dim, pairs)
+    ref = reference_averagedness_sample(recorded(want), gamma, single, blocks, dim, pairs)
+    assert np.float64(worst).tobytes() == np.float64(ref).tobytes()
+    calls = 2 * pairs if poison is None or poison >= 2 * pairs else 2 * (poison // 2 + 1)
+    assert len(got) == len(want) == calls
+    assert all(z.shape == (blocks, dim) for z in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert bulk.uniforms(2).tobytes() == single.uniforms(2).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [5e-324, 1e-310, 0.0, -0.5, float("nan")])
+def test_averagedness_sample_rejects_gamma(gamma):
+    ops = gen_affine_monotone(3, 2, 0).operators()
+    with pytest.raises(ParameterError, match="gamma"):
+        averagedness_sample(lambda z: mt_step(z, ops, 0.5)[0], gamma, Prng(0), 2, 2, 10)
+
+
+def test_averagedness_check_rejects_subnormal_gamma():
+    with pytest.raises(ParameterError, match="gamma must be positive with"):
+        averagedness_check(gen_affine_monotone(2, 1, 0).operators(), 5e-324, 10)
 
 
 def test_averagedness_isometry_equality():
