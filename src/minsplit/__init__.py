@@ -90,6 +90,7 @@ from .scheme import (
     ryu4_scheme,
     save_scheme,
     solve_scheme,
+    update_map,
     witness_from_point,
 )
 from .splitting import (

@@ -246,8 +246,9 @@ def cmd_verify(args):
     for trial in range(max(1, args.trials // 10)):
         inst = problems.gen_affine_monotone(sch.n, dim, seed=int(prng.uniforms(1)[0] * 2**31))
         ops = inst.operators()
+        update = scheme.update_map(sch, ops)
         slack = splitting.averagedness_sample(
-            lambda z: scheme.eval_scheme(sch, z, ops)[0], args.gamma, prng, sch.d, dim, 10
+            lambda z: update(z)[0], args.gamma, prng, sch.d, dim, 10
         )
         worst_slack = max(worst_slack, slack)
         z_fix, conv, div, _ = scheme.solve_scheme(sch, ops, dim=dim, tol=1e-10,

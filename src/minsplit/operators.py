@@ -35,7 +35,8 @@ def prox_abs(y, c, step):
     c = np.asarray(c, dtype=np.float64)
     if y.shape != c.shape and c.ndim > 0:
         raise ShapeError(f"shapes disagree: y {y.shape}, c {c.shape}")
-    return c + soft_threshold(y - c, step)
+    t = y - c
+    return c + np.copysign(np.maximum(np.abs(t) - step, 0.0), t)
 
 
 def prox_l1(y, lam):

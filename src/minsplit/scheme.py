@@ -9,10 +9,11 @@ matrices acting blockwise on lifted points:
 * the update map ``T(z) = Tz z + Tx x``;
 * the solution map ``S(z) = Sz z + Sx x``.
 
-This module executes such schemes generically, certifies their structural
-identities numerically (kernel residuals of a block matrix, the
-consensus/averaging conditions of the solution map), and validates the
-lifting dimension lower bound ``d >= n - 1`` for ``n >= 2``.
+This module executes such schemes generically (:func:`update_map` gives
+``T(z)`` and ``x`` alone), certifies their structural identities
+numerically (kernel residuals of a block matrix, the consensus/averaging
+conditions of the solution map), and validates the lifting dimension lower
+bound ``d >= n - 1`` for ``n >= 2``.
 """
 
 from dataclasses import dataclass
@@ -60,22 +61,24 @@ class SchemeMatrices:
             raise ShapeError("L must be strictly lower triangular")
 
 
-def _first_output_scheme(b, low, tx):
-    # the shipped schemes keep z in the update (Tz = I) and return the first
-    # resolvent output as the solution
+def _first_output_scheme(b, low, tx, gamma):
+    # the shipped schemes keep z in the update (Tz = I), take Tx = gamma * tx
+    # and return the first resolvent output as the solution
+    if not np.isfinite(gamma):
+        raise ParameterError(f"gamma must be finite, got {gamma}")
     n, d = b.shape
     sx = np.zeros((1, n))
     sx[0, 0] = 1.0
     return SchemeMatrices(
-        n=n, d=d, B=b, L=low, Tz=np.eye(d), Tx=tx, Sz=np.zeros((1, d)), Sx=sx
+        n=n, d=d, B=b, L=low, Tz=np.eye(d), Tx=gamma * tx, Sz=np.zeros((1, d)), Sx=sx
     )
 
 
 def mt_scheme(n, gamma=1.0):
     """Matrices of the minimal-memory splitting for ``n >= 2`` operators.
 
-    ``gamma`` is folded into ``Tx``; ``gamma = 1`` gives the unrelaxed map
-    (for ``n = 2`` this is the Douglas-Rachford operator).
+    A finite ``gamma`` is folded into ``Tx``; ``gamma = 1`` gives the
+    unrelaxed map (for ``n = 2`` this is the Douglas-Rachford operator).
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
@@ -92,17 +95,17 @@ def mt_scheme(n, gamma=1.0):
     low[n - 1, n - 2] += 1.0
     tx = np.zeros((d, n))
     for i in range(d):
-        tx[i, i] = -gamma
-        tx[i, i + 1] = gamma
-    return _first_output_scheme(b, low, tx)
+        tx[i, i] = -1.0
+        tx[i, i + 1] = 1.0
+    return _first_output_scheme(b, low, tx, gamma)
 
 
 def ryu3_scheme(gamma):
     """Matrices of Ryu's three-operator scheme (two lifted blocks)."""
     b = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     low = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-    tx = gamma * np.array([[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
-    return _first_output_scheme(b, low, tx)
+    tx = np.array([[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
+    return _first_output_scheme(b, low, tx, gamma)
 
 
 def ryu4_scheme(gamma):
@@ -125,35 +128,47 @@ def ryu4_scheme(gamma):
             [1.0, 1.0, 1.0, 0.0],
         ]
     )
-    tx = gamma * np.array(
+    tx = np.array(
         [[-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, 1.0], [0.0, 0.0, -1.0, 1.0]]
     )
-    return _first_output_scheme(b, low, tx)
+    return _first_output_scheme(b, low, tx, gamma)
+
+
+def _sweep(s, z, ops):
+    # (T_out, x, y) at a (d, dim) float z; x[:i] is set before row i reads it
+    bz = s.B @ z
+    x = np.empty((s.n, z.shape[1]))
+    y = np.empty_like(x)
+    for i in range(s.n):
+        yi = bz[i]
+        if i > 0:
+            yi = yi + s.L[i, :i] @ x[:i]
+        y[i] = yi
+        x[i] = ops[i].resolvent(yi)
+    return s.Tz @ z + s.Tx @ x, x, y
 
 
 def eval_scheme(s, z, ops):
     """Run one generic scheme evaluation.
 
-    Computes ``y_i`` in index order (the strict lower triangle of ``L``
-    makes this well defined), applies each resolvent exactly once, and
-    returns ``(T_out, S_out, x, y)`` where ``T_out = Tz z + Tx x`` and
-    ``S_out = Sz z + Sx x``.
+    Computes ``y_i = (B z)_i + L[i, :i] x[:i]`` in index order (the strict
+    lower triangle of ``L`` makes this well defined), applies each resolvent
+    exactly once, and returns ``(T_out, S_out, x, y)`` where
+    ``T_out = Tz z + Tx x`` and ``S_out = Sz z + Sx x``.
     """
     if len(ops) != s.n:
         raise ShapeError(f"scheme expects {s.n} operators, got {len(ops)}")
     z = _lifted(z, s.d, None)
-    dim = z.shape[1]
-    x = np.zeros((s.n, dim))
-    y = np.zeros((s.n, dim))
-    for i in range(s.n):
-        yi = s.B[i] @ z
-        if i > 0:
-            yi = yi + s.L[i, :i] @ x[:i]
-        y[i] = yi
-        x[i] = ops[i].resolvent(yi)
-    t_out = s.Tz @ z + s.Tx @ x
-    s_out = (s.Sz @ z + s.Sx @ x)[0]
-    return t_out, s_out, x, y
+    t_out, x, y = _sweep(s, z, ops)
+    return t_out, (s.Sz @ z + s.Sx @ x)[0], x, y
+
+
+def update_map(s, ops):
+    """The map ``z -> (T_out, x)``, bit for bit as in :func:`eval_scheme`, for
+    a float ``z`` of shape ``(d, dim)``; ``ops`` is checked here, not per call."""
+    if len(ops) != s.n:
+        raise ShapeError(f"scheme expects {s.n} operators, got {len(ops)}")
+    return lambda z: _sweep(s, z, ops)[:2]
 
 
 @dataclass(frozen=True)
@@ -243,7 +258,7 @@ def solve_scheme(s, ops, z0=None, tol=1e-10, max_iter=100000, dim=None):
     ``||T(z) - z|| <= tol`` (``tol = 0`` runs all ``max_iter`` sweeps).
     """
     z = _lifted(z0, s.d, dim, name="z0")
-    step, final = _sweeps(lambda z: eval_scheme(s, z, ops)[::2], z, 1.0)
+    step, final = _sweeps(update_map(s, ops), z, 1.0)
     k, converged, diverged = iterate(step, None, max_iter, stop_at_tol(tol))
     return final()[0], converged, diverged, k
 

@@ -149,6 +149,12 @@ def _check_gamma(gamma, hi=1.0, include_hi=True):
         raise ParameterError(f"gamma must lie in (0, {hi}{bracket}, got {gamma}")
 
 
+def _norm(v):
+    # float(np.linalg.norm(v)) of a float array without numpy's dispatch
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _lifted(z, blocks, dim, name="z"):
     if z is None:
         if dim is None:
@@ -230,7 +236,7 @@ def _sweeps(sweep, z, gamma, solution=lambda z, x: x[0].copy(), spread=False):
     def step():
         nonlocal z, x
         z_next, x = sweep(z)
-        row = {"residual": float(np.linalg.norm(z_next - z)) / gamma}
+        row = {"residual": _norm(z_next - z) / gamma}
         z = z_next
         if spread:
             row["spread"] = consensus_spread(x)
@@ -361,10 +367,11 @@ def averagedness_sample(update, gamma, prng, blocks, dim, pairs):
 
     which must be nonpositive up to roundoff when ``T`` is averaged.  A
     non-finite slack ends the sampling, with ``prng`` just past that pair,
-    and returns ``inf``.  ``gamma > 0`` with ``(1-gamma)/gamma`` finite.
+    and returns ``inf``.  ``gamma`` in ``(0, 1]`` with ``(1-gamma)/gamma`` finite.
     """
     if not (gamma > 0 and math.isfinite((1.0 - gamma) / gamma)):
         raise ParameterError(f"gamma must be positive with (1-gamma)/gamma finite, got {gamma}")
+    _check_gamma(gamma)
     shrink = (1.0 - gamma) / gamma
     words = (blocks * dim + 1) // 2 * 2  # raw words behind one drawn point
     worst = -np.inf
@@ -375,10 +382,10 @@ def averagedness_sample(update, gamma, prng, blocks, dim, pairs):
             tz_bar = update(z_bar)
             r = z - tz
             r_bar = z_bar - tz_bar
-            lhs = float(np.linalg.norm(tz - tz_bar) ** 2)
-            lhs += shrink * float(np.linalg.norm(r - r_bar) ** 2)
-            lhs += float(np.linalg.norm((r - r_bar).sum(axis=0)) ** 2) / gamma
-            rhs = float(np.linalg.norm(z - z_bar) ** 2)
+            lhs = _norm(tz - tz_bar) ** 2
+            lhs += shrink * _norm(r - r_bar) ** 2
+            lhs += _norm((r - r_bar).sum(axis=0)) ** 2 / gamma
+            rhs = _norm(z - z_bar) ** 2
             slack = (lhs - rhs) / (1.0 + rhs)
             if not math.isfinite(slack):
                 prng._count -= (len(rows) - 2 * p - 2) * words  # as if drawn pair by pair
@@ -395,7 +402,6 @@ def averagedness_check(ops, gamma, trials, dim=1, seed=0):
     genuinely averaged map keeps this near machine precision, while a
     non-averaged map exposes positive slack quickly.
     """
-    _check_gamma(gamma)
     return averagedness_sample(
         lambda z: mt_step(z, ops, gamma)[0], gamma, Prng(seed), len(ops) - 1, dim, trials
     )

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from minsplit import mt_scheme, save_scheme
+from minsplit import mt_scheme, ryu3_scheme, save_scheme
 from minsplit.cli import main
 
 
@@ -134,7 +134,10 @@ def test_consensus_csv_bytes_are_golden(tmp_path, capsys, n, algorithms):
 
 # exit code and SHA-256 of the stdout of `verify --builtin X --seed S`; the
 # averaged schemes pass and ryu3, ryu4 fail.  The report prints the slack with
-# repr, so these move whenever a sampled point or a slack changes a single bit
+# repr, so these move whenever a sampled point or a slack changes a single bit.
+# A key may add flags after the builtin ("mt:4 --dim 4 --trials 100" is the
+# benchmark's own run), and a "file:" key reads a SAVED_SCHEMES entry back
+# from a scheme file instead (the saved ryu3 prints the builtin's bytes)
 GOLDEN_VERIFY = {
     ("mt:4", 1): (0, "a2c54bc330f0103ad04442d1ab3ebd7fe68b463090b8c02771b02f6cd4c35082"),
     ("mt:4", 2): (0, "9f197de3984fff05ece6d4e6b8e55531fe4a8805e1b8f038dca03b3de88704fd"),
@@ -148,12 +151,28 @@ GOLDEN_VERIFY = {
     ("ryu4", 1): (1, "e110ed061bc245b31b4b2ea6d7d7dd0c0f522be39cd96bad2cf09dfa4f8cec40"),
     ("ryu4", 2): (1, "3e180b60a3c652cb6de8bb658d99a4709fb7431b7aa632977500f52f0e515003"),
     ("ryu4", 3): (1, "1997178cae5abd97d5ba07f8eabfc3a419977d0b0a3a854cc7dd1ec1be7f8e57"),
+    ("mt:4 --dim 4 --trials 100", 1):
+        (0, "7e609f2af074f0c88e36a8d51f132ccf01fd173510e8ed446fb0c5dcbc89573e"),
+    ("mt:4 --dim 4 --trials 100", 2):
+        (0, "c03b6338648076b6baf841269032c579fac5445cdd0281e1c4a6c7264923d5be"),
+    ("mt:4 --dim 4 --trials 100", 3):
+        (0, "652df885079228639cdda06633a09065dbe6367a99663b3c8463d494b5a64df7"),
+    ("file:mt5 --gamma 0.6", 1):
+        (0, "f0d87af6f66f205e0c819221126c4dcf13ab84e2c8aad4a3223e73cdd8224847"),
+    ("file:ryu3 --gamma 0.5", 1):
+        (1, "bee57ff734cf762eadfab8cc1a5842fa4787d583353e1a10dc217d11c224c784"),
 }
+SAVED_SCHEMES = {"file:mt5": mt_scheme(5, 0.6), "file:ryu3": ryu3_scheme(0.5)}
 
 
 @pytest.mark.parametrize("builtin, seed", sorted(GOLDEN_VERIFY))
-def test_verify_stdout_is_golden(capsys, builtin, seed):
-    rc, stdout, _ = run_cli(capsys, "verify", "--builtin", builtin, "--seed", str(seed))
+def test_verify_stdout_is_golden(tmp_path, capsys, builtin, seed):
+    name, *flags = builtin.split()
+    source = ["--builtin", name]
+    if name in SAVED_SCHEMES:
+        source = ["--scheme-file", str(tmp_path / "scheme.txt")]
+        save_scheme(SAVED_SCHEMES[name], source[1])
+    rc, stdout, _ = run_cli(capsys, "verify", *source, *flags, "--seed", str(seed))
     assert (rc, hashlib.sha256(stdout.encode()).hexdigest()) == GOLDEN_VERIFY[builtin, seed]
 
 
@@ -165,6 +184,21 @@ def test_verify_bad_gamma_exits_2_with_parameter_error(capsys, gamma, shown):
     assert rc == 2
     assert err == ("error: ParameterError: gamma must be positive with (1-gamma)/gamma "
                    f"finite, got {shown}\n")
+    assert "averagedness" not in stdout
+
+
+# above 1 the sampler's (1 - gamma) / gamma is negative and would pass maps that
+# are not averaged; a non-finite gamma would reach the builtin's Tx
+@pytest.mark.parametrize("builtin, gamma, message", [
+    ("mt:4", "2", "gamma must lie in (0, 1.0], got 2.0"),
+    ("mt:4", "nan", "gamma must be finite, got nan"),
+    ("ryu3", "inf", "gamma must be finite, got inf"),
+    ("ryu4", "-inf", "gamma must be finite, got -inf"),
+])
+def test_verify_out_of_range_gamma_is_named(capsys, builtin, gamma, message):
+    rc, stdout, err = run_cli(capsys, "verify", "--builtin", builtin, f"--gamma={gamma}")
+    assert rc == 2
+    assert err == f"error: ParameterError: {message}\n"
     assert "averagedness" not in stdout
 
 

@@ -9,6 +9,7 @@ from minsplit import (
     ZeroOp,
     check_solution_mapping,
     eval_scheme,
+    gen_affine_monotone,
     kernel_residuals,
     lifting_ok,
     load_scheme,
@@ -20,6 +21,7 @@ from minsplit import (
     ryu4_scheme,
     save_scheme,
     solve_scheme,
+    update_map,
     witness_from_point,
 )
 from minsplit.errors import NotAFixedPointError, ParameterError, SchemeParseError, ShapeError
@@ -86,6 +88,62 @@ def test_eval_scheme_zero_ops_is_linear(rng):
         x_ref[i] = s.B[i] @ z + s.L[i, :i] @ x_ref[:i]
     assert np.allclose(x, x_ref, atol=1e-14)
     assert np.allclose(t_out, s.Tz @ z + s.Tx @ x_ref, atol=1e-14)
+
+
+def reference_eval_scheme(s, z, ops):
+    # the evaluation with a row of B per operator and zero-filled x and y,
+    # kept as the reference for the sweep that forms B @ z in one product
+    x = np.zeros((s.n, z.shape[1]))
+    y = np.zeros((s.n, z.shape[1]))
+    for i in range(s.n):
+        yi = s.B[i] @ z
+        if i > 0:
+            yi = yi + s.L[i, :i] @ x[:i]
+        y[i] = yi
+        x[i] = ops[i].resolvent(yi)
+    return s.Tz @ z + s.Tx @ x, (s.Sz @ z + s.Sx @ x)[0], x, y
+
+
+def drawn_scheme(data, n, d):
+    # random L, Tz, Tx, Sz, Sx; B has entries 0 and +-1 with at most two
+    # nonzeros per row, as in mt_scheme and ryu3_scheme.  Each product of B @ z
+    # is then exact and each row sum rounds once, so the one matrix product
+    # gives the bits of the per-row products; a general B need not
+    entries = st.floats(-2.0, 2.0)
+
+    def matrix(rows, cols):
+        values = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        return np.array(values, dtype=np.float64).reshape(rows, cols)
+
+    b = np.zeros((n, d))
+    for row in b:
+        for col in data.draw(st.lists(st.integers(0, d - 1), max_size=2, unique=True)):
+            row[col] = data.draw(st.sampled_from([-1.0, 1.0]))
+    return SchemeMatrices(n=n, d=d, B=b, L=np.tril(matrix(n, n), -1), Tz=matrix(d, d),
+                          Tx=matrix(d, n), Sz=matrix(1, d), Sx=matrix(1, n))
+
+
+@given(kind=st.sampled_from(["mt", "ryu3", "ryu4", "drawn"]), gamma=st.floats(0.05, 1.0),
+       dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sweep_equals_reference_loop_bit_for_bit(kind, gamma, dim, seed, data):
+    if kind == "mt":
+        s = mt_scheme(data.draw(st.integers(2, 12)), gamma)
+    elif kind == "drawn":
+        s = drawn_scheme(data, data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+    else:
+        s = (ryu3_scheme if kind == "ryu3" else ryu4_scheme)(gamma)
+    ops = gen_affine_monotone(s.n, dim, seed).operators()
+    z = np.random.default_rng(seed).standard_normal((s.d, dim))
+    want = reference_eval_scheme(s, z, ops)
+    got = eval_scheme(s, z, ops)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    t_out, x = update_map(s, ops)(z)
+    assert (t_out.tobytes(), x.tobytes()) == (want[0].tobytes(), want[2].tobytes())
+
+
+def test_update_map_checks_the_operator_count():
+    with pytest.raises(ShapeError, match="scheme expects 4 operators, got 3"):
+        update_map(mt_scheme(4), [ZeroOp()] * 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

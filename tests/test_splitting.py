@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import minsplit.splitting
 from minsplit import (
@@ -30,7 +31,7 @@ from minsplit import (
     ryu4_scheme,
 )
 from minsplit.errors import ParameterError, ShapeError
-from minsplit.splitting import averagedness_sample
+from minsplit.splitting import _norm, averagedness_sample
 
 from conftest import affine_ops, count_calls
 
@@ -456,11 +457,21 @@ def test_averagedness_sample_matches_pair_at_a_time_reference(name, n, dim, seed
     assert bulk.uniforms(2).tobytes() == single.uniforms(2).tobytes()
 
 
-@pytest.mark.parametrize("gamma", [5e-324, 1e-310, 0.0, -0.5, float("nan")])
+# above 1, (1 - gamma) / gamma is negative and would pass maps that are not averaged
+@pytest.mark.parametrize("gamma", [5e-324, 1e-310, 0.0, -0.5, float("nan"), 1.5, 2.0])
 def test_averagedness_sample_rejects_gamma(gamma):
     ops = gen_affine_monotone(3, 2, 0).operators()
     with pytest.raises(ParameterError, match="gamma"):
         averagedness_sample(lambda z: mt_step(z, ops, 0.5)[0], gamma, Prng(0), 2, 2, 10)
+
+
+@given(v=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+                   elements=st.floats(-10.0, 10.0) | st.floats()),
+       view=st.sampled_from(["as is", "transposed", "every other row"]))
+def test_norm_equals_numpy_norm_bit_for_bit(v, view):
+    v = {"as is": v, "transposed": v.T, "every other row": v[::2]}[view]
+    with np.errstate(over="ignore"):
+        assert np.float64(_norm(v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
 
 
 def test_averagedness_check_rejects_subnormal_gamma():
