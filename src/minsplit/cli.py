@@ -125,7 +125,9 @@ def build_parser():
     ver.add_argument("--scheme-file", dest="scheme_file", default=None)
     ver.add_argument("--builtin", default=None,
                      help="mt:N, dr, ryu3 or ryu4 instead of a file")
-    ver.add_argument("--trials", type=int, default=200)
+    ver.add_argument("--trials", type=int, default=200,
+                     help="averagedness pairs, a positive multiple of 10: each "
+                          "generated instance draws 10")
     ver.add_argument("--dim", type=int, default=4)
     return parser
 
@@ -211,7 +213,11 @@ def cmd_rpca(args):
 
 def _builtin_scheme(spec_str, gamma):
     if spec_str.startswith("mt:"):
-        return scheme.mt_scheme(int(spec_str[3:]), gamma)
+        try:
+            n = int(spec_str[3:])
+        except ValueError:
+            raise CliError("bad-builtin", f"mt:N needs an integer N, got {spec_str!r}") from None
+        return scheme.mt_scheme(n, gamma)
     if spec_str == "dr":
         return scheme.mt_scheme(2, gamma)
     if spec_str == "ryu3":
@@ -224,6 +230,9 @@ def _builtin_scheme(spec_str, gamma):
 def cmd_verify(args):
     if (args.scheme_file is None) == (args.builtin is None):
         raise CliError("bad-scheme", "provide exactly one of --scheme-file/--builtin")
+    if not (args.trials > 0 and args.trials % 10 == 0):
+        raise CliError("bad-trials",
+                       f"--trials must be a positive multiple of 10, got {args.trials}")
     if args.builtin:
         sch = _builtin_scheme(args.builtin, args.gamma)
     else:
@@ -243,7 +252,7 @@ def cmd_verify(args):
     kernel_worst = 0.0
     mapping_worst = 0.0
     fixed_points_found = 0
-    for trial in range(max(1, args.trials // 10)):
+    for trial in range(args.trials // 10):
         inst = problems.gen_affine_monotone(sch.n, dim, seed=int(prng.uniforms(1)[0] * 2**31))
         ops = inst.operators()
         update = scheme.update_map(sch, ops)

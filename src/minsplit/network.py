@@ -10,14 +10,16 @@ Each of ``n`` nodes on a cycle privately holds one monotone operator; nodes
    node 1's output), read node ``i-1``'s output, apply their resolvents,
    send the output on to node ``i % n + 1`` and relax their owned block.
 
-At ``n = 2`` node 1's two neighbours are both node 2, which reads both of
-node 1's messages in step 3.  Every node sends exactly two messages per
-round, one to each cycle neighbour.  The arithmetic uses the same primitive
-grouping as :func:`minsplit.splitting.mt_step`, so the concatenated owned
-blocks reproduce the centralised iterates exactly, not merely to tolerance.
+Every node sends exactly two messages per round, one to each cycle
+neighbour; at ``n = 2`` both of node 1's go to node 2.  The arithmetic uses
+the same primitive grouping as :func:`minsplit.splitting.mt_step`, so the
+concatenated owned blocks reproduce the centralised iterates exactly, not
+merely to tolerance.
 
-The scheduler is synchronous and reliable (no loss, FIFO channels).  Each
-round opens a fresh mailbox, so no message outlives the round that sent it.
+The scheduler is synchronous and reliable.  Each round posts its messages
+into fixed slots, one per sender and kind, so no message outlives the round
+that sent it.  A node takes its lead from its neighbour's slot and uses the
+X body its predecessor has just sent as its ``x_prev``.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +31,7 @@ from .errors import ParameterError, ProtocolError
 from .splitting import (
     _check_gamma,
     _lifted,
+    _norm,
     _solve_report,
     chain_argument,
     consensus_spread,  # unused here, but bench/tracing.py rebinds this module's copy
@@ -76,44 +79,45 @@ def make_nodes(ops, z0):
     if n < 2:
         raise ParameterError(f"cycle needs at least 2 nodes, got {n}")
     z0 = _lifted(z0, n - 1, None, name="z0")
-    nodes = [Node(node_id=1, op=ops[0])]
-    for i in range(2, n + 1):
-        nodes.append(Node(node_id=i, op=ops[i - 1], owned_z=z0[i - 2].copy()))
-    return nodes
+    return [Node(node_id=1, op=ops[0])] + [
+        Node(node_id=i, op=ops[i - 1], owned_z=z0[i - 2].copy()) for i in range(2, n + 1)]
 
 
 def gathered_z(nodes):
     """Concatenate the owned blocks of nodes 2..n into an (n-1, dim) array."""
-    return np.stack([node.owned_z for node in nodes[1:]])
+    return np.array([node.owned_z for node in nodes[1:]])
 
 
 class _Mailbox:
-    """FIFO channels between cycle neighbours with adjacency enforcement."""
+    """One round's messages in fixed slots, one per sender and kind."""
 
     def __init__(self, n, log):
-        self.n = n
-        self.log = log
-        self.queues = {}
+        self.n, self.adjacent = n, (1, n - 1)
+        self.round_index, self.record = log.round_index, log.messages.append
+        self.slots = {Z_PASS: [()] * (n + 1), X_PASS: [()] * (n + 1)}
 
     def send(self, from_node, to_node, kind, body):
-        """Queue and log a private copy of ``body``; returns that copy."""
-        if (to_node - from_node) % self.n not in (1, self.n - 1):
-            raise ProtocolError(
-                f"node {from_node} may not message node {to_node} on the cycle"
-            )
-        msg = Message(from_node, to_node, kind, np.array(body, dtype=np.float64),
-                      self.log.round_index)
-        self.log.messages.append(msg)
-        self.queues.setdefault((from_node, to_node, kind), []).append(msg.body)
+        """Post and log a private copy of ``body``; returns that copy."""
+        if (to_node - from_node) % self.n not in self.adjacent:
+            raise ProtocolError(f"node {from_node} may not message node {to_node} on the cycle")
+        # tuple.__new__ makes the same Message without namedtuple's Python-level __new__
+        msg = tuple.__new__(Message, (from_node, to_node, kind, body.copy(), self.round_index))
+        self.record(msg)
+        self.slots[kind][from_node] += (msg,)
         return msg.body
 
     def receive(self, to_node, from_node, kind):
-        queue = self.queues.get((from_node, to_node, kind))
-        if not queue:
-            raise ProtocolError(
-                f"node {to_node} expected a {kind} message from node {from_node}"
-            )
-        return queue.pop(0)
+        """Take the first body in the sender's slot addressed to ``to_node``."""
+        slot = self.slots[kind]
+        held = slot[from_node]
+        if held and held[0].to_node == to_node:  # all but node n's read of node 1
+            slot[from_node] = held[1:]
+            return held[0].body
+        for j in range(1, len(held)):
+            if held[j].to_node == to_node:
+                slot[from_node] = held[:j] + held[j + 1:]
+                return held[j].body
+        raise ProtocolError(f"node {to_node} expected a {kind} message from node {from_node}")
 
 
 def run_round(nodes, gamma, round_index):
@@ -122,30 +126,35 @@ def run_round(nodes, gamma, round_index):
     Returns a :class:`RoundLog`; raises :class:`ProtocolError` on
     uninitialised node state or adjacency violations.
     """
+    return _round(nodes, gamma, round_index)[0]
+
+
+def _round(nodes, gamma, round_index):
+    # the log and the new blocks as one array, whose rows are the z_updates
     _check_gamma(gamma)
     n = len(nodes)
     log = RoundLog(round_index=round_index)
     mail = _Mailbox(n, log)
+    send, receive = mail.send, mail.receive
     # step 1: owned blocks travel to the predecessor
     for node in nodes[1:]:
         if node.owned_z is None:
             raise ProtocolError(f"node {node.node_id} has no initialised block")
-        mail.send(node.node_id, node.node_id - 1, Z_PASS, node.owned_z)
+        send(node.node_id, node.node_id - 1, Z_PASS, node.owned_z)
     # step 2: node 1 applies its resolvent and sends to both neighbours
-    nodes[0].last_x = nodes[0].op.resolvent(mail.receive(1, 2, Z_PASS))
-    log.x_values[1] = mail.send(1, 2, X_PASS, nodes[0].last_x)
-    mail.send(1, n, X_PASS, nodes[0].last_x)
-    # step 3: nodes 2..n in index order; node n leads with node 1's output
-    # and reports back to node 1, which gives every node two sends per round
+    x = nodes[0].last_x = nodes[0].op.resolvent(receive(1, 2, Z_PASS))
+    x_prev = log.x_values[1] = send(1, 2, X_PASS, x)
+    send(1, n, X_PASS, x)
+    # step 3: nodes 2..n in order; node n leads with node 1's output and reports back to it
     for i in range(2, n + 1):
         node = nodes[i - 1]
-        lead = mail.receive(i, i % n + 1, Z_PASS if i < n else X_PASS)
-        x_prev = mail.receive(i, i - 1, X_PASS)
-        node.last_x = node.op.resolvent(chain_argument(lead, node.owned_z, x_prev))
-        log.x_values[i] = mail.send(i, i % n + 1, X_PASS, node.last_x)
-        node.owned_z = relaxed_update(node.owned_z, node.last_x, x_prev, gamma)
-        log.z_updates[i] = node.owned_z.copy()
-    return log
+        lead = receive(i, i % n + 1, Z_PASS if i < n else X_PASS)
+        x = node.last_x = node.op.resolvent(chain_argument(lead, node.owned_z, x_prev))
+        node.owned_z = relaxed_update(node.owned_z, x, x_prev, gamma)
+        x_prev = log.x_values[i] = send(i, i % n + 1, X_PASS, x)
+    z_next = gathered_z(nodes)
+    log.z_updates = dict(zip(range(2, n + 1), z_next))
+    return log, z_next
 
 
 def run_protocol(nodes, gamma, rounds, tol=0.0):
@@ -157,22 +166,20 @@ def run_protocol(nodes, gamma, rounds, tol=0.0):
 
     Returns ``(report, logs)``.
     """
-    n = len(nodes)
     logs = []
     z = gathered_z(nodes)
 
     def step():
         nonlocal z
-        log = run_round(nodes, gamma, len(logs) + 1)
+        log, z_next = _round(nodes, gamma, len(logs) + 1)
         logs.append(log)
-        z_next = gathered_z(nodes)
-        residual = float(np.linalg.norm(z_next - z)) / gamma
+        residual = _norm(z_next - z) / gamma
         z = z_next
         return {"residual": residual}
 
     def final():
-        x = np.stack([logs[-1].x_values[i] for i in range(1, n + 1)])
-        return z, x, x[0].copy()
+        x = np.stack(list(logs[-1].x_values.values()))  # nodes 1..n in order
+        return z.copy(), x, x[0].copy()
 
     return _solve_report(step, rounds, tol, final), logs
 
@@ -180,15 +187,7 @@ def run_protocol(nodes, gamma, rounds, tol=0.0):
 def round_log_csv(logs, path):
     """Export message telemetry: one row per message."""
     header = ["round", "node", "message_kind", "l2_norm_of_payload"]
-    rows = []
-    for log in logs:
-        for msg in log.messages:
-            rows.append(
-                [
-                    str(log.round_index),
-                    str(msg.from_node),
-                    msg.kind,
-                    format_float(np.linalg.norm(msg.body)),
-                ]
-            )
+    rows = [[str(log.round_index), str(msg.from_node), msg.kind,
+             format_float(np.linalg.norm(msg.body))]
+            for log in logs for msg in log.messages]
     write_csv(path, header, rows)

@@ -242,6 +242,28 @@ def test_verify_requires_exactly_one_source(capsys):
     assert "scheme" in err
 
 
+@pytest.mark.parametrize("builtin", ["mt:x", "mt:", "mt:2.5"])
+def test_verify_malformed_mt_builtin_exits_2(capsys, builtin):
+    rc, stdout, err = run_cli(capsys, "verify", "--builtin", builtin)
+    assert rc == 2
+    assert err == f"error: bad-builtin: mt:N needs an integer N, got {builtin!r}\n"
+    assert stdout == ""
+
+
+# pairs are drawn 10 per generated instance, so any other count was rounded
+# (15 ran 10 pairs) or clamped (0 and -5 ran 10 pairs and passed)
+@pytest.mark.parametrize("trials", ["-5", "0", "15"])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_verify_trials_must_be_a_positive_multiple_of_10(tmp_path, capsys, trials, via_config):
+    cfg = tmp_path / "trials.cfg"
+    cfg.write_text(f"trials = {trials}\n")
+    flags = ("--config", str(cfg)) if via_config else ("--trials", trials)
+    rc, stdout, err = run_cli(capsys, "verify", "--builtin", "mt:4", *flags)
+    assert rc == 2
+    assert err == f"error: bad-trials: --trials must be a positive multiple of 10, got {trials}\n"
+    assert stdout == ""
+
+
 def test_config_file_defaults_and_flag_priority(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 12\nseed = 9\nmax-iter = 40\nalgorithms = mt\n")

@@ -23,7 +23,8 @@ from minsplit import (
     run_round,
 )
 from minsplit.errors import ParameterError, ProtocolError, ShapeError
-from minsplit.network import RoundLog, _Mailbox
+from minsplit.network import Message, RoundLog, _Mailbox
+from minsplit.splitting import chain_argument, relaxed_update
 
 from conftest import affine_ops
 
@@ -100,14 +101,27 @@ def test_message_audit():
 
 
 def test_messages_are_immutable_copies():
-    _, ops = affine_ops(3, 2, seed=77)
-    nodes = make_nodes(ops, np.zeros((2, 2)))
-    _, logs = run_protocol(nodes, 0.9, rounds=2, tol=0.0)
-    msg = next(m for m in logs[-1].messages if m.from_node == 1)
-    with pytest.raises(AttributeError):
-        msg.body = np.zeros(2)
-    assert np.array_equal(msg.body, nodes[0].last_x)
-    assert not np.shares_memory(msg.body, nodes[0].last_x)
+    for n in (2, 3, 6):
+        _, ops = affine_ops(n, 2, seed=77)
+        nodes = make_nodes(ops, np.zeros((n - 1, 2)))
+        _, logs = run_protocol(nodes, 0.9, rounds=2, tol=0.0)
+        log = logs[-1]
+        msg = next(m for m in log.messages if m.from_node == 1)
+        with pytest.raises(AttributeError):
+            msg.body = np.zeros(2)
+        assert np.array_equal(msg.body, nodes[0].last_x)
+        # no body is a view of node state or of another body, no block update
+        # is a view of a node's block, and each output is its X message's body
+        state = [a for node in nodes for a in (node.owned_z, node.last_x) if a is not None]
+        bodies = [m.body for m in log.messages]
+        for j, body in enumerate(bodies):
+            assert not any(np.shares_memory(body, a) for a in state)
+            assert not any(np.shares_memory(body, other) for other in bodies[j + 1:])
+        for z in log.z_updates.values():
+            assert not any(np.shares_memory(z, node.owned_z) for node in nodes[1:])
+        for i, x in log.x_values.items():
+            own = next(m.body for m in log.messages if m.from_node == i and m.kind == X_PASS)
+            assert np.shares_memory(x, own)
 
 
 def test_middle_block_pass_is_last_rounds_update():
@@ -149,6 +163,99 @@ def test_protocol_equals_centralised_for_any_cycle(n, gamma, dim, rounds, seed):
         assert np.array_equal(report.state.z, central.state.z)
 
 
+class FifoMailbox:
+    """The round's first mailbox: a dict of FIFO lists keyed by channel."""
+
+    def __init__(self, n, log):
+        self.n = n
+        self.log = log
+        self.queues = {}
+
+    def send(self, from_node, to_node, kind, body):
+        if (to_node - from_node) % self.n not in (1, self.n - 1):
+            raise ProtocolError(f"node {from_node} may not message node {to_node} on the cycle")
+        msg = Message(from_node, to_node, kind, np.array(body, dtype=np.float64),
+                      self.log.round_index)
+        self.log.messages.append(msg)
+        self.queues.setdefault((from_node, to_node, kind), []).append(msg.body)
+        return msg.body
+
+    def receive(self, to_node, from_node, kind):
+        queue = self.queues.get((from_node, to_node, kind))
+        if not queue:
+            raise ProtocolError(f"node {to_node} expected a {kind} message from node {from_node}")
+        return queue.pop(0)
+
+
+def reference_round(nodes, gamma, round_index):
+    """The round as first written: every read goes through a FIFO channel."""
+    n = len(nodes)
+    log = RoundLog(round_index=round_index)
+    mail = FifoMailbox(n, log)
+    for node in nodes[1:]:
+        mail.send(node.node_id, node.node_id - 1, Z_PASS, node.owned_z)
+    nodes[0].last_x = nodes[0].op.resolvent(mail.receive(1, 2, Z_PASS))
+    log.x_values[1] = mail.send(1, 2, X_PASS, nodes[0].last_x)
+    mail.send(1, n, X_PASS, nodes[0].last_x)
+    for i in range(2, n + 1):
+        node = nodes[i - 1]
+        lead = mail.receive(i, i % n + 1, Z_PASS if i < n else X_PASS)
+        x_prev = mail.receive(i, i - 1, X_PASS)
+        node.last_x = node.op.resolvent(chain_argument(lead, node.owned_z, x_prev))
+        log.x_values[i] = mail.send(i, i % n + 1, X_PASS, node.last_x)
+        node.owned_z = relaxed_update(node.owned_z, node.last_x, x_prev, gamma)
+        log.z_updates[i] = node.owned_z.copy()
+    return log
+
+
+def array_record(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def log_record(log):
+    """Every field of a RoundLog as comparable bytes, in order."""
+    return (
+        log.round_index,
+        [(m.from_node, m.to_node, m.kind, m.round_index, array_record(m.body))
+         for m in log.messages],
+        [(i, array_record(x)) for i, x in log.x_values.items()],
+        [(i, array_record(z)) for i, z in log.z_updates.items()],
+    )
+
+
+@given(
+    n=st.integers(2, 12),
+    gamma=st.floats(0.0, 1.0, exclude_min=True),
+    dim=st.integers(1, 3),
+    rounds=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    affine=st.booleans(),
+)
+@example(n=2, gamma=1.0, dim=2, rounds=4, seed=0, affine=False)
+@example(n=2, gamma=0.9, dim=3, rounds=4, seed=0, affine=True)
+def test_round_equals_fifo_mailbox_reference(n, gamma, dim, rounds, seed, affine):
+    if affine:
+        ops = gen_affine_monotone(n, dim, seed).operators()
+    else:
+        ops = [AbsValue(c) for c in Prng(seed).normals(n * dim).reshape(n, dim)]
+    z0 = np.random.default_rng(seed).standard_normal((n - 1, dim))
+    nodes, ref_nodes = make_nodes(ops, z0), make_nodes(ops, z0)
+    ref_logs = [reference_round(ref_nodes, gamma, k) for k in range(1, rounds + 1)]
+    report, logs = run_protocol(nodes, gamma, rounds, tol=0.0)
+    assert [log_record(log) for log in logs] == [log_record(log) for log in ref_logs]
+    for node, ref in zip(nodes, ref_nodes):
+        assert array_record(node.last_x) == array_record(ref.last_x)
+        if node.owned_z is not None:
+            assert array_record(node.owned_z) == array_record(ref.owned_z)
+    # the residual trace as first computed: restacked blocks, np.linalg.norm
+    assert len(report.trace.columns["residual"]) == rounds
+    z = z0
+    for log, residual in zip(ref_logs, report.trace.columns["residual"]):
+        z_next = np.stack([log.z_updates[i] for i in range(2, n + 1)])
+        assert residual.hex() == (float(np.linalg.norm(z_next - z)) / gamma).hex()
+        z = z_next
+
+
 def test_uninitialised_node_raises():
     inst, ops = affine_ops(3, 1, seed=74)
     nodes = make_nodes(ops, np.zeros((2, 1)))
@@ -159,19 +266,21 @@ def test_uninitialised_node_raises():
 
 @pytest.mark.parametrize("n, from_node, to_node", [(5, 1, 3), (5, 2, 2), (2, 2, 2)])
 def test_mailbox_rejects_non_adjacent_pairs(n, from_node, to_node):
-    mail = _Mailbox(n, RoundLog(round_index=1))
+    log = RoundLog(round_index=1)
+    mail = _Mailbox(n, log)
     with pytest.raises(ProtocolError, match="may not message"):
         mail.send(from_node, to_node, X_PASS, np.zeros(2))
-    assert mail.log.messages == []
+    assert log.messages == []
 
 
 @pytest.mark.parametrize("n, from_node, to_node", [(5, 1, 5), (5, 5, 1), (2, 1, 2), (2, 2, 1)])
 def test_mailbox_accepts_adjacent_nodes(n, from_node, to_node):
-    mail = _Mailbox(n, RoundLog(round_index=1))
+    log = RoundLog(round_index=1)
+    mail = _Mailbox(n, log)
     body = np.arange(2.0)
     stored = mail.send(from_node, to_node, X_PASS, body)
     assert np.array_equal(stored, body) and not np.shares_memory(stored, body)
-    assert mail.log.messages[-1].body is stored
+    assert log.messages[-1].body is stored
     assert mail.receive(to_node, from_node, X_PASS) is stored
 
 
