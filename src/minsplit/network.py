@@ -83,6 +83,12 @@ def make_nodes(ops, z0):
         Node(node_id=i, op=ops[i - 1], owned_z=z0[i - 2].copy()) for i in range(2, n + 1)]
 
 
+def _check_blocks(nodes):
+    for node in nodes[1:]:
+        if node.owned_z is None:
+            raise ProtocolError(f"node {node.node_id} has no initialised block")
+
+
 def gathered_z(nodes):
     """Concatenate the owned blocks of nodes 2..n into an (n-1, dim) array."""
     return np.array([node.owned_z for node in nodes[1:]])
@@ -137,9 +143,8 @@ def _round(nodes, gamma, round_index):
     mail = _Mailbox(n, log)
     send, receive = mail.send, mail.receive
     # step 1: owned blocks travel to the predecessor
+    _check_blocks(nodes)
     for node in nodes[1:]:
-        if node.owned_z is None:
-            raise ProtocolError(f"node {node.node_id} has no initialised block")
         send(node.node_id, node.node_id - 1, Z_PASS, node.owned_z)
     # step 2: node 1 applies its resolvent and sends to both neighbours
     x = nodes[0].last_x = nodes[0].op.resolvent(receive(1, 2, Z_PASS))
@@ -158,7 +163,7 @@ def _round(nodes, gamma, round_index):
 
 
 def run_protocol(nodes, gamma, rounds, tol=0.0):
-    """Run the protocol for up to ``rounds`` rounds, one :func:`run_round` each.
+    """Run the protocol for up to ``rounds`` rounds, each as :func:`run_round` runs it.
 
     Stops early once the residual reconstructed from the block updates,
     ``||z_new - z_old|| / gamma``, drops to ``tol`` (``tol=0`` runs all
@@ -167,6 +172,7 @@ def run_protocol(nodes, gamma, rounds, tol=0.0):
     Returns ``(report, logs)``.
     """
     logs = []
+    _check_blocks(nodes)
     z = gathered_z(nodes)
 
     def step():

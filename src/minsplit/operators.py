@@ -12,6 +12,7 @@ projection onto a Frobenius ball on observed entries).
 """
 
 from dataclasses import dataclass
+from types import MethodType
 
 import numpy as np
 
@@ -37,6 +38,16 @@ def prox_abs(y, c, step):
         raise ShapeError(f"shapes disagree: y {y.shape}, c {c.shape}")
     t = y - c
     return c + np.copysign(np.maximum(np.abs(t) - step, 0.0), t)
+
+
+def _prox_abs_float(c, y, step=1.0):
+    # prox_abs on one component in Python floats, with the same IEEE operations
+    t = y - c
+    shrunk = abs(t) - step
+    if shrunk < 0.0:
+        shrunk = 0.0
+    # c + shrunk at t >= +-0 or NaN: c + 0.0 turns c = -0.0 into +0.0, as in prox_abs
+    return c - shrunk if t < 0.0 else c + shrunk
 
 
 def prox_l1(y, lam):
@@ -100,7 +111,7 @@ class MonotoneOp:
     """Base class: a maximally monotone operator accessed via its resolvent.
 
     Subclasses must implement :meth:`resolvent`; the solvers use no other
-    interface, except a pure-float ``resolvent_scalar`` where one exists.
+    interface, except a pure-float ``resolvent_scalar`` on one-entry operators.
     """
 
     def resolvent(self, y, step=1.0):
@@ -118,26 +129,22 @@ class ZeroOp(MonotoneOp):
 
 
 class AbsValue(MonotoneOp):
-    """Subdifferential of ``|. - c|`` (componentwise for vector ``c``)."""
+    """Subdifferential of ``|. - c|``, componentwise; ``resolvent_scalar`` for one-entry ``c``."""
 
     def __init__(self, c):
         self.c = np.asarray(c, dtype=np.float64)
-        self._c_scalar = float(self.c.reshape(-1)[0]) if self.c.size == 1 else None
+        self._floats, self._shape = self.c.tolist(), (self.c.shape if self.c.ndim == 1 else None)
+        if self.c.size == 1:
+            self.resolvent_scalar = MethodType(_prox_abs_float, self.c.item())
 
     def resolvent(self, y, step=1.0):
+        if (type(y) is np.ndarray and y.shape == self._shape and y.dtype.char == "d"
+                and type(step) is float and step > 0):
+            return np.array([_prox_abs_float(c, v, step) for c, v in zip(self._floats, y.tolist())])
         return prox_abs(y, self.c, step)
 
-    def resolvent_scalar(self, y, step=1.0):
-        c = self._c_scalar
-        t = y - c
-        shrunk = abs(t) - step
-        if shrunk < 0.0:
-            shrunk = 0.0
-        if t < 0.0:
-            return c - shrunk
-        # t > 0, or t = +-0 with shrunk = 0.0 (c + 0.0 turns c = -0.0 into
-        # +0.0), or t NaN with shrunk NaN: the bits of prox_abs in each case
-        return c + shrunk
+    def __reduce__(self):  # a method bound to a float does not pickle
+        return AbsValue, (self.c,)
 
 
 class AffineOp(MonotoneOp):

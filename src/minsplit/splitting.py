@@ -205,13 +205,14 @@ def _scalar_sweeps(ops, gamma, z0, spread):
     n = len(ops)
     z = [float(v) for v in z0[:, 0]]
     x = [0.0] * n
+    res = [op.resolvent_scalar for op in ops]  # bound once per solve
 
     def step():
         nonlocal z
-        x[0] = ops[0].resolvent_scalar(z[0])
+        x[0] = res[0](z[0])
         for i in range(1, n - 1):
-            x[i] = ops[i].resolvent_scalar(z[i] + (x[i - 1] - z[i - 1]))
-        x[n - 1] = ops[n - 1].resolvent_scalar(x[0] + (x[n - 2] - z[n - 2]))
+            x[i] = res[i](z[i] + (x[i - 1] - z[i - 1]))
+        x[n - 1] = res[n - 1](x[0] + (x[n - 2] - z[n - 2]))
         sq = 0.0
         if gamma == 1.0:
             z_next = [x[i + 1] + (z[i] - x[i]) for i in range(n - 1)]

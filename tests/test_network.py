@@ -264,6 +264,19 @@ def test_uninitialised_node_raises():
         run_round(nodes, 0.9, 1)
 
 
+@pytest.mark.parametrize("blank", [1, 2])
+def test_run_protocol_raises_the_round_error_on_an_uninitialised_node(blank):
+    # run_protocol gathers the blocks before its first round; it must fail as the round does
+    nodes = make_nodes(gen_affine_monotone(3, 1, 0).operators(), np.zeros((2, 1)))
+    nodes[blank].owned_z = None
+    with pytest.raises(ProtocolError) as from_round:
+        run_round(nodes, 0.9, 1)
+    with pytest.raises(ProtocolError) as from_protocol:
+        run_protocol(nodes, 0.9, 1)
+    assert str(from_protocol.value) == str(from_round.value)
+    assert str(from_round.value) == f"node {blank + 1} has no initialised block"
+
+
 @pytest.mark.parametrize("n, from_node, to_node", [(5, 1, 3), (5, 2, 2), (2, 2, 2)])
 def test_mailbox_rejects_non_adjacent_pairs(n, from_node, to_node):
     log = RoundLog(round_index=1)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -77,17 +78,82 @@ def _same_bits(a, b):
     return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
 
 
-@given(y=st.floats(), c=st.floats(), step=st.floats(min_value=0.0, exclude_min=True))
-@example(y=math.nan, c=0.1, step=1.0)
-@example(y=-0.0, c=-0.0, step=1.0)
-@example(y=0.0, c=-0.0, step=1.0)
-@example(y=math.inf, c=math.inf, step=1.0)
-@example(y=-math.inf, c=2.0, step=math.inf)
-def test_prox_abs_scalar_path_equals_array_path_bit_for_bit(y, c, step):
-    op = AbsValue(np.array([c]))
+EDGE_PAIRS = [(-0.0, -0.0), (0.0, -0.0), (-0.5, -0.0), (0.5, -0.0), (5e-324, -5e-324),
+              (-2.5e-308, 1e-310), (math.nan, 0.1), (math.inf, math.inf), (-math.inf, 2.0)]
+
+
+@given(pairs=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=6),
+       step=st.floats(min_value=0.0, exclude_min=True))
+@example(pairs=[(math.nan, 0.1)], step=1.0)
+@example(pairs=[(-0.0, -0.0)], step=1.0)
+@example(pairs=[(0.0, -0.0)], step=1.0)
+@example(pairs=[(math.inf, math.inf)], step=1.0)
+@example(pairs=[(-math.inf, 2.0)], step=math.inf)
+@example(pairs=[(5e-324, 0.0)], step=5e-324)
+@example(pairs=[(-0.5, -0.0)], step=1.0)
+@example(pairs=EDGE_PAIRS[:6], step=1.0)
+@example(pairs=EDGE_PAIRS[3:], step=math.inf)
+@example(pairs=EDGE_PAIRS[:6], step=5e-324)
+def test_prox_abs_scalar_path_equals_array_path_bit_for_bit(pairs, step):
+    # AbsValue's float paths against the numpy reference prox_abs, NaN compared as NaN
+    y = np.array([p[0] for p in pairs])
+    c = np.array([p[1] for p in pairs])
+    op = AbsValue(c)
     with np.errstate(invalid="ignore", over="ignore"):
-        array = float(op.resolvent(np.array([y]), step)[0])
-    assert _same_bits(op.resolvent_scalar(y, step), array)
+        want = prox_abs(y, c, step)
+    got = op.resolvent(y, step)
+    assert got.dtype == np.float64 and got.shape == c.shape
+    assert not np.shares_memory(got, y) and not np.shares_memory(got, c)
+    assert all(_same_bits(a, b) for a, b in zip(got.tolist(), want.tolist()))
+    if len(pairs) == 1:
+        assert _same_bits(op.resolvent_scalar(pairs[0][0], step), float(want[0]))
+    else:
+        assert not hasattr(op, "resolvent_scalar")
+
+
+@pytest.mark.parametrize("c", [np.array([0.7]), np.array([0.7, -1.3, 0.0])])
+@pytest.mark.parametrize("y, step", [
+    ("ones", 0.0), ("ones", -1.0), ("ones", math.nan),
+    (np.ones(4), 1.0), (np.ones((3, 2)), 1.0), ([1.0] * 4, 1.0)])
+def test_abs_value_resolvent_raises_the_prox_abs_errors(c, y, step):
+    # zero, negative and NaN steps; a mismatched shape, a 2-D batch and a list input
+    y = np.ones(c.shape) if isinstance(y, str) else y
+    with pytest.raises((ParameterError, ShapeError)) as want:
+        prox_abs(y, c, step)
+    with pytest.raises(type(want.value)) as got:
+        AbsValue(c).resolvent(y, step)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("y, step", [
+    ([0.25, -3.0], 0.3),
+    (np.array([0.25, -3.0], dtype=np.float32), 0.3),
+    (np.array(["0.25", "-3.0"]), 0.3),
+    (np.array([0.25, -3.0]), np.float32(0.3)),
+    (np.array([0.25, -3.0]), np.float64(0.3)),
+    (np.array([2, -3]), 1)])
+def test_abs_value_resolvent_equals_prox_abs_off_the_float_path(y, step):
+    # lists, float32, string and integer inputs and non-float steps keep prox_abs's bits
+    c = np.array([0.1, 0.7])
+    want = prox_abs(y, c, step)
+    got = AbsValue(c).resolvent(y, step)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c, scalar", [
+    (0.3, True), ([0.3], True), (np.array([[0.3]]), True),
+    ([0.3, 1.0], False), (np.zeros((1, 2)), False), (np.zeros(6), False)])
+def test_resolvent_scalar_exists_for_one_entry_centres_only(c, scalar):
+    # CountedScalarOp and the solvers' scalar-path choice read this attribute
+    assert hasattr(AbsValue(c), "resolvent_scalar") is scalar
+
+
+@pytest.mark.parametrize("c", [[0.3], [0.3, -1.0]])
+def test_abs_value_pickles(c):
+    op = pickle.loads(pickle.dumps(AbsValue(c)))
+    assert np.array_equal(op.c, c) and hasattr(op, "resolvent_scalar") is (len(c) == 1)
+    y = np.full(len(c), 2.0)
+    assert op.resolvent(y, 0.5).tolist() == prox_abs(y, c, 0.5).tolist()
 
 
 def test_prox_abs_rejects_bad_step():

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 import minsplit.splitting
 from minsplit import (
+    AbsValue,
     AffineOp,
     AffineSetIndicator,
     PointIndicator,
@@ -57,6 +58,15 @@ def test_mt_step_requires_two_ops():
         mt_step(np.zeros((1, 1)), zeros_ops(2), 1.5)
     with pytest.raises(ShapeError):
         mt_step(np.zeros((3, 1)), zeros_ops(2), 0.9)
+
+
+@pytest.mark.parametrize("solve", [mt_solve, pr_solve])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_vector_centred_abs_values_raise_shape_error_at_any_dim(solve, dim):
+    # a two-entry centre has no resolvent_scalar, so dim 1 takes the array path too
+    ops = [AbsValue([1.0, 2.0]), AbsValue([3.0, 4.0]), AbsValue([0.0, 1.0])]
+    with pytest.raises(ShapeError, match=f"shapes disagree: y \\({dim},\\), c \\(2,\\)"):
+        solve(ops, dim=dim)
 
 
 def test_mt_step_n2_is_relaxed_douglas_rachford(rng):
