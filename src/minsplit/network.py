@@ -169,8 +169,10 @@ def run_protocol(nodes, gamma, rounds, tol=0.0):
     ``||z_new - z_old|| / gamma``, drops to ``tol`` (``tol=0`` runs all
     rounds).  The report's ``state.x`` stacks the last round's outputs.
 
-    Returns ``(report, logs)``.
+    Returns ``(report, logs)``; raises :class:`ParameterError` when ``rounds < 1``.
     """
+    if not rounds >= 1:
+        raise ParameterError(f"rounds must be >= 1, got {rounds}")
     logs = []
     _check_blocks(nodes)
     z = gathered_z(nodes)

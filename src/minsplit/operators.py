@@ -110,8 +110,8 @@ class PartialMatrix:
 class MonotoneOp:
     """Base class: a maximally monotone operator accessed via its resolvent.
 
-    Subclasses must implement :meth:`resolvent`; the solvers use no other
-    interface, except a pure-float ``resolvent_scalar`` on one-entry operators.
+    Subclasses must implement :meth:`resolvent`; the solvers use no other interface,
+    except a pure-float ``resolvent_scalar`` on one-entry operators (on any ``ZeroOp``).
     """
 
     def resolvent(self, y, step=1.0):
@@ -179,16 +179,20 @@ class AffineOp(MonotoneOp):
 
 
 class PointIndicator(MonotoneOp):
-    """Normal cone of the singleton ``{p}``; resolvent is constantly ``p``."""
+    """Normal cone of ``{p}``; resolvent ``p``, and ``resolvent_scalar`` for one-entry ``p``."""
 
     def __init__(self, p):
         self.p = np.atleast_1d(np.asarray(p, dtype=np.float64))
+        if self.p.size == 1:
+            self.resolvent_scalar = lambda y, step=1.0, p=self.p.item(): p
 
     def resolvent(self, y, step=1.0):
+        if np.shape(y) != self.p.shape:
+            raise ShapeError(f"shapes disagree: y {np.shape(y)}, p {self.p.shape}")
         return self.p.copy()
 
-    def resolvent_scalar(self, y, step=1.0):
-        return float(self.p[0])
+    def __reduce__(self):  # the resolvent_scalar lambda does not pickle
+        return PointIndicator, (self.p,)
 
 
 class AffineSetIndicator(MonotoneOp):

@@ -200,27 +200,30 @@ def mt_step(z, ops, gamma):
 
 
 def _scalar_sweeps(ops, gamma, z0, spread):
-    # Pure-float mirror of mt_step; identical operation order, so the
-    # produced values match the array path and the network simulator exactly.
+    # Pure-float mirror of mt_step in one pass: as resolvent i returns, block i-1
+    # is relaxed and its squared change summed, with mt_step's IEEE operations
+    # in its order, so the values match the array path and the network exactly.
     n = len(ops)
     z = [float(v) for v in z0[:, 0]]
     x = [0.0] * n
-    res = [op.resolvent_scalar for op in ops]  # bound once per solve
+    first = ops[0].resolvent_scalar  # each bound once per solve
+    chain = [(i, ops[i].resolvent_scalar) for i in range(1, n)]
+    exact = gamma == 1.0
 
     def step():
         nonlocal z
-        x[0] = res[0](z[0])
-        for i in range(1, n - 1):
-            x[i] = res[i](z[i] + (x[i - 1] - z[i - 1]))
-        x[n - 1] = res[n - 1](x[0] + (x[n - 2] - z[n - 2]))
-        sq = 0.0
-        if gamma == 1.0:
-            z_next = [x[i + 1] + (z[i] - x[i]) for i in range(n - 1)]
-        else:
-            z_next = [z[i] + gamma * (x[i + 1] - x[i]) for i in range(n - 1)]
-        for a, b in zip(z, z_next):
-            d = a - b
+        zs, z_next, sq = z, [], 0.0
+        xp = x[0] = first(zs[0])
+        zp = zs[0]
+        zs.append(xp)  # operator n leads with x[0] where the others read z[i]
+        for i, res in chain:
+            zi = zs[i]
+            xi = x[i] = res(zi + (xp - zp))
+            v = xi + (zp - xp) if exact else zp + gamma * (xi - xp)
+            z_next.append(v)
+            d = zp - v
             sq += d * d
+            xp, zp = xi, zi
         z = z_next
         row = {"residual": math.sqrt(sq) / gamma}
         if spread:

@@ -277,6 +277,20 @@ def test_run_protocol_raises_the_round_error_on_an_uninitialised_node(blank):
     assert str(from_round.value) == f"node {blank + 1} has no initialised block"
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+@pytest.mark.parametrize("blank", [None, 2])
+def test_run_protocol_names_rounds_before_any_block_or_round(rounds, blank):
+    # the budget is checked first: an uninitialised block does not mask it, no node moves
+    nodes = make_nodes(gen_affine_monotone(3, 1, 0).operators(), np.full((2, 1), 0.5))
+    if blank is not None:
+        nodes[blank].owned_z = None
+    blocks = [node.owned_z for node in nodes]
+    with pytest.raises(ParameterError) as err:
+        run_protocol(nodes, 0.9, rounds)
+    assert str(err.value) == f"rounds must be >= 1, got {rounds}"
+    assert all(node.owned_z is z and node.last_x is None for node, z in zip(nodes, blocks))
+
+
 @pytest.mark.parametrize("n, from_node, to_node", [(5, 1, 3), (5, 2, 2), (2, 2, 2)])
 def test_mailbox_rejects_non_adjacent_pairs(n, from_node, to_node):
     log = RoundLog(round_index=1)

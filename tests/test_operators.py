@@ -148,6 +148,29 @@ def test_resolvent_scalar_exists_for_one_entry_centres_only(c, scalar):
     assert hasattr(AbsValue(c), "resolvent_scalar") is scalar
 
 
+@pytest.mark.parametrize("p, scalar", [
+    (0.3, True), ([-0.0], True), (np.array([[0.3]]), True),
+    ([0.3, 1.0], False), (np.zeros((1, 2)), False), (np.zeros(6), False)])
+def test_point_indicator_resolvent_scalar_exists_for_one_entry_points_only(p, scalar):
+    fresh = PointIndicator(p)
+    for op in (fresh, pickle.loads(pickle.dumps(fresh))):
+        assert hasattr(op, "resolvent_scalar") is scalar
+        if scalar:
+            assert _same_bits(op.resolvent_scalar(7.5, 0.5), float(np.ravel(p)[0]))
+        y = np.full(op.p.shape, 7.5)
+        assert op.resolvent(y, 0.5).tobytes() == op.p.tobytes()
+
+
+@pytest.mark.parametrize("p, y", [
+    ([1.0, 2.0], np.ones(1)), ([1.0], np.ones(2)), ([1.0, 2.0], np.ones((1, 2))),
+    ([1.0], 3.0), ([1.0, 2.0], [1.0])])
+def test_point_indicator_rejects_a_mismatched_shape(p, y):
+    want = f"shapes disagree: y {np.shape(y)}, p {np.shape(p)}"
+    with pytest.raises(ShapeError) as err:
+        PointIndicator(p).resolvent(y)
+    assert str(err.value) == want
+
+
 @pytest.mark.parametrize("c", [[0.3], [0.3, -1.0]])
 def test_abs_value_pickles(c):
     op = pickle.loads(pickle.dumps(AbsValue(c)))

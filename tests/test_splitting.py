@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -9,6 +11,7 @@ from minsplit import (
     AbsValue,
     AffineOp,
     AffineSetIndicator,
+    MonotoneOp,
     PointIndicator,
     Prng,
     ProxOp,
@@ -32,7 +35,7 @@ from minsplit import (
     ryu4_scheme,
 )
 from minsplit.errors import ParameterError, ShapeError
-from minsplit.splitting import _norm, averagedness_sample
+from minsplit.splitting import _norm, _solve_report, _split_solve, averagedness_sample
 
 from conftest import affine_ops, count_calls
 
@@ -67,6 +70,15 @@ def test_vector_centred_abs_values_raise_shape_error_at_any_dim(solve, dim):
     ops = [AbsValue([1.0, 2.0]), AbsValue([3.0, 4.0]), AbsValue([0.0, 1.0])]
     with pytest.raises(ShapeError, match=f"shapes disagree: y \\({dim},\\), c \\(2,\\)"):
         solve(ops, dim=dim)
+
+
+@pytest.mark.parametrize("third", [AbsValue([0.5]), AffineOp([[1.0]], [0.0])])
+def test_multi_entry_point_indicator_raises_shape_error_at_dim_one(third):
+    # a two-entry point has no resolvent_scalar: both op lists take the array path and fail alike
+    ops = [PointIndicator([1.0, 2.0]), ZeroOp(), third]
+    with pytest.raises(ShapeError) as err:
+        mt_solve(ops, dim=1, tol=0, max_iter=5)
+    assert str(err.value) == "shapes disagree: y (1,), p (2,)"
 
 
 def test_mt_step_n2_is_relaxed_douglas_rachford(rng):
@@ -557,3 +569,134 @@ def test_scalar_path_reports_the_spread_of_its_final_outputs():
 def test_stop_at_tol_rejects_nan():
     with pytest.raises(ParameterError, match="tol"):
         minsplit.splitting.stop_at_tol(float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# one resolvent call per operator per sweep, on the pure-float and array paths
+
+
+class CountingOp(MonotoneOp):
+    """Counts the array resolvent calls of a wrapped operator."""
+
+    def __init__(self, op):
+        self.op, self.array_calls, self.scalar_calls = op, 0, 0
+
+    def resolvent(self, y, step=1.0):
+        self.array_calls += 1
+        return self.op.resolvent(y, step)
+
+
+class CountingScalarOp(CountingOp):
+    """:class:`CountingOp` that also offers, and counts, ``resolvent_scalar``."""
+
+    def resolvent_scalar(self, y, step=1.0):
+        self.scalar_calls += 1
+        return self.op.resolvent_scalar(y, step)
+
+
+CALL_SOLVES = {
+    "mt_solve": lambda ops, dim: mt_solve(ops, gamma=0.9, dim=dim, tol=1e-8, max_iter=300),
+    "pr_solve": lambda ops, dim: pr_solve(ops, dim=dim, tol=1e-8, max_iter=300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALL_SOLVES))
+@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("path", ["float", "array dim 2", "array one op without scalar"])
+def test_one_resolvent_call_per_operator_per_sweep(name, n, path):
+    rng = np.random.default_rng(n)
+    dim = 2 if path == "array dim 2" else 1
+    ops = [CountingScalarOp(AbsValue(rng.standard_normal(dim))) for _ in range(n)]
+    if path == "array one op without scalar":
+        ops[n // 2] = CountingOp(ops[n // 2].op)
+    report = CALL_SOLVES[name](ops, dim)
+    assert 1 <= report.iterations <= 300
+    for op in ops:
+        if path == "float":
+            assert (op.scalar_calls, op.array_calls) == (report.iterations, 0)
+        else:
+            assert (op.scalar_calls, op.array_calls) == (0, report.iterations)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass pure-float sweep against the three-pass sweep it replaced
+
+
+def three_pass_scalar_sweeps(ops, gamma, z0, spread):
+    # the reference: chain, then relaxation, then residual, each a pass over the blocks
+    n = len(ops)
+    z = [float(v) for v in z0[:, 0]]
+    x = [0.0] * n
+    res = [op.resolvent_scalar for op in ops]
+
+    def step():
+        nonlocal z
+        x[0] = res[0](z[0])
+        for i in range(1, n - 1):
+            x[i] = res[i](z[i] + (x[i - 1] - z[i - 1]))
+        x[n - 1] = res[n - 1](x[0] + (x[n - 2] - z[n - 2]))
+        sq = 0.0
+        if gamma == 1.0:
+            z_next = [x[i + 1] + (z[i] - x[i]) for i in range(n - 1)]
+        else:
+            z_next = [z[i] + gamma * (x[i + 1] - x[i]) for i in range(n - 1)]
+        for a, b in zip(z, z_next):
+            d = a - b
+            sq += d * d
+        z = z_next
+        row = {"residual": math.sqrt(sq) / gamma}
+        if spread:
+            row["spread"] = max(x) - min(x)
+        return row
+
+    return step, lambda: (np.asarray(z)[:, None], np.asarray(x)[:, None], np.array(x[:1]))
+
+
+def _float_ops(kinds, centres):
+    make = {"abs": lambda c: AbsValue([c]), "zero": lambda c: ZeroOp(),
+            "point": lambda c: PointIndicator([c])}
+    return [make[k](c) for k, c in zip(kinds, centres)]
+
+
+def _solve_bits(report):
+    return (report.iterations, report.converged, report.diverged,
+            {name: [v.hex() for v in col] for name, col in report.trace.columns.items()},
+            report.consensus_spread.hex(), report.state.z.tobytes(), report.state.x.tobytes(),
+            report.final_x.tobytes())
+
+
+SIGNED_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def float_sweep_cases(draw):
+    n = draw(st.integers(2, 40))
+    kinds = draw(st.lists(st.sampled_from(["abs", "abs", "zero", "point"]), min_size=n, max_size=n))
+    centres = draw(st.lists(SIGNED_FLOATS, min_size=n, max_size=n))
+    z0 = draw(st.lists(SIGNED_FLOATS, min_size=n - 1, max_size=n - 1))
+    bad = draw(st.one_of(st.none(), st.tuples(st.integers(0, n - 2),
+                                              st.sampled_from([math.inf, -math.inf, math.nan]))))
+    if bad is not None:
+        z0[bad[0]] = bad[1]
+    return kinds, centres, z0
+
+
+@given(case=float_sweep_cases(),
+       gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+       spread=st.booleans(), tol=st.sampled_from([0.0, 1e-8]), max_iter=st.integers(1, 60))
+@example(case=(["abs", "zero", "abs"], [0.5, 0.0, -0.0], [-0.0, 0.0]),
+         gamma=1.0, spread=False, tol=0.0, max_iter=20)
+@example(case=(["abs"] * 10, [float(i) for i in range(10)], [0.25 * i for i in range(9)]),
+         gamma=1.0, spread=True, tol=1e-8, max_iter=60)
+@example(case=(["zero"] * 4, [0.0] * 4, [1.5, -0.0, math.nan]),
+         gamma=0.9, spread=True, tol=0.0, max_iter=5)
+def test_one_pass_scalar_sweep_equals_three_pass_reference(case, gamma, spread, tol, max_iter):
+    kinds, centres, z0 = case
+    ops = _float_ops(kinds, centres)
+    z0 = np.array(z0)[:, None]
+    stop = "spread" if spread else "residual"
+    with np.errstate(invalid="ignore"):
+        got = _split_solve(ops, gamma, z0, tol, max_iter, None, stop)
+        step, final = three_pass_scalar_sweeps(_float_ops(kinds, centres), gamma, z0, spread)
+        want = _solve_report(step, max_iter, tol, final, stop)
+    assert _solve_bits(got) == _solve_bits(want)
