@@ -25,11 +25,7 @@ from .admm import (
     identity_prox_block,
     kkt_residual,
     pdhg_solve,
-    pdhg_step,
     pdhg_stepsizes,
-    point_block,
-    prox_compose,
-    prox_compose_check,
     quadratic_block,
     rpca_problem,
 )
@@ -73,8 +69,6 @@ from .problems import (
     gen_affine_monotone,
     gen_consensus,
     gen_rpca,
-    load_instance,
-    save_instance,
 )
 from .scheme import (
     KernelWitness,

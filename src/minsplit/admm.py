@@ -34,7 +34,6 @@ from .operators import (
     prox_nuclear,
     project_partial_ball,
 )
-from .problems import Prng
 from .splitting import _check_gamma, consensus_spread, iterate, stop_at_tol
 from .trace import ResidualTrace
 
@@ -99,20 +98,6 @@ def quadratic_block(q_mat, q_vec, a_mat, label="quadratic"):
         out_dim=a_mat.shape[0],
         coercive=bool(eig_q[0] > 0),
         gram_invertible=bool(eig_gram[0] > 1e-12 * max(1.0, eig_gram[-1])),
-        label=label,
-    )
-
-
-def point_block(p, label="point"):
-    """Block with ``f = indicator of {p}`` and ``A = I``."""
-    p = linalg.as_vector(p, "p")
-    return SepBlock(
-        solve=lambda v: p.copy(),
-        apply=lambda w: w,
-        w_dim=p.size,
-        out_dim=p.size,
-        coercive=True,
-        gram_invertible=True,
         label=label,
     )
 
@@ -439,42 +424,6 @@ def dual_ops(p):
     return ops
 
 
-def prox_compose(block, z, b=None):
-    """Proximity of ``h(z) = f(-A^T z)^-conjugate-composed (+ <b, z>)``.
-
-    Computes ``z + (A w_hat - b)`` where ``w_hat`` solves the block
-    subproblem at offset ``z - b`` (``b = 0`` when omitted).  This is the
-    resolvent of the dual operators of :func:`dual_ops`, exposed with input
-    checks so it can be certified against closed forms.
-    """
-    z = linalg.as_vector(z, "z")
-    return _DualBlockOp(block, None if b is None else linalg.as_vector(b, "b")).resolvent(z)
-
-
-def prox_compose_check(block, z, b, h_fn, seed=0, trials=50):
-    """Certify :func:`prox_compose` by the proximal inequality.
-
-    ``h_fn`` evaluates the function whose proximity is being computed.  For
-    the output ``w`` and random competitors ``q`` the gap
-    ``h(w) + 0.5||w - z||^2 - h(q) - 0.5||q - z||^2`` must stay nonpositive
-    (up to roundoff).  Returns ``(w, worst_gap)``; a non-finite gap ends the
-    check with ``worst_gap = inf``.
-    """
-    z = linalg.as_vector(z, "z")
-    w = prox_compose(block, z, b)
-    value = h_fn(w) + 0.5 * float(np.linalg.norm(w - z) ** 2)
-    prng = Prng(seed)
-    worst = -math.inf
-    for _ in range(trials):
-        scale = 10.0 ** float(prng.uniforms(1)[0] * 2 - 1)
-        q = w + scale * prng.normals(z.size)
-        gap = value - h_fn(q) - 0.5 * float(np.linalg.norm(q - z) ** 2)
-        if not math.isfinite(gap):
-            return w, math.inf
-        worst = max(worst, gap)
-    return w, worst
-
-
 # ---------------------------------------------------------------------------
 # robust PCA: the three-block problem and the ASALM baseline
 
@@ -600,36 +549,6 @@ def pdhg_stepsizes(lap_norm, variant):
     return a * shrink / lap_norm, shrink / (a * lap_norm)
 
 
-def _check_pdhg_steps(tau, sigma, lap_norm):
-    if not (tau > 0 and sigma > 0):
-        raise ParameterError("tau and sigma must be positive")
-    product = tau * sigma * lap_norm**2
-    if not product < 1.0:
-        raise ParameterError(
-            f"stepsize product tau*sigma*||L||^2 = {product} must be < 1"
-        )
-
-
-def _pdhg_update(x, y, tau, sigma, lap, c):
-    x_next = prox_abs(x - tau * (lap @ y), c, tau)
-    return x_next, y + sigma * (lap @ (2.0 * x_next - x))
-
-
-def pdhg_step(x, y, tau, sigma, lap, c, lap_norm=None):
-    """One primal-dual step for ``min ||x - c||_1  s.t.  L x = 0``.
-
-    ``x`` is shrunk towards ``c`` after a dual descent step, then the dual
-    ascends along ``L`` applied to the extrapolated primal.  ``L`` is
-    symmetric here, so its adjoint is itself.
-    """
-    lap = linalg.as_matrix(lap, "lap")
-    if lap_norm is None:
-        lap_norm = linalg.op_norm(lap)
-    _check_pdhg_steps(tau, sigma, lap_norm)
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    return _pdhg_update(x, y, tau, sigma, lap, c)
-
-
 @dataclass
 class PdhgReport:
     """Outcome of a primal-dual solve."""
@@ -643,22 +562,33 @@ class PdhgReport:
 
 
 def pdhg_solve(c, lap, tau, sigma, x0=None, y0=None, tol=1e-8, max_iter=100000):
-    """Iterate :func:`pdhg_step` until the scaled step residual reaches ``tol``.
+    """Primal-dual steps for ``min ||x - c||_1  s.t.  L x = 0`` until the
+    scaled step residual reaches ``tol``.
 
-    The residual is ``sqrt(||dx||^2 / tau^2 + ||dy||^2 / sigma^2)``, the
-    natural fixed-point residual of the underlying proximal iteration.
+    Each step shrinks ``x`` towards ``c`` after a dual descent step, then
+    the dual ascends along ``L`` applied to the extrapolated primal; ``L`` is
+    symmetric here, so its adjoint is itself.  The steps must satisfy
+    ``tau * sigma * ||L||^2 < 1``.  The residual is
+    ``sqrt(||dx||^2 / tau^2 + ||dy||^2 / sigma^2)``, the natural fixed-point
+    residual of the underlying proximal iteration.
     """
     c = linalg.as_vector(c, "c")
     lap = linalg.as_matrix(lap, "lap")
-    lap_norm = linalg.op_norm(lap)
-    _check_pdhg_steps(tau, sigma, lap_norm)
+    if not (tau > 0 and sigma > 0):
+        raise ParameterError("tau and sigma must be positive")
+    product = tau * sigma * linalg.op_norm(lap) ** 2
+    if not product < 1.0:
+        raise ParameterError(
+            f"stepsize product tau*sigma*||L||^2 = {product} must be < 1"
+        )
     x = np.zeros_like(c) if x0 is None else np.asarray(x0, dtype=np.float64)
     y = np.zeros_like(c) if y0 is None else np.asarray(y0, dtype=np.float64)
     trace = ResidualTrace(["residual"])
 
     def step():
         nonlocal x, y
-        x_next, y_next = _pdhg_update(x, y, tau, sigma, lap, c)
+        x_next = prox_abs(x - tau * (lap @ y), c, tau)
+        y_next = y + sigma * (lap @ (2.0 * x_next - x))
         residual = math.sqrt(
             float(np.linalg.norm(x_next - x) ** 2) / tau**2
             + float(np.linalg.norm(y_next - y) ** 2) / sigma**2

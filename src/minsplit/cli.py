@@ -233,6 +233,8 @@ def cmd_verify(args):
     if not (args.trials > 0 and args.trials % 10 == 0):
         raise CliError("bad-trials",
                        f"--trials must be a positive multiple of 10, got {args.trials}")
+    splitting.check_budget(args.dim, "dim")
+    splitting.check_budget(args.max_iter, "max_iter")
     if args.builtin:
         sch = _builtin_scheme(args.builtin, args.gamma)
     else:
@@ -246,7 +248,7 @@ def cmd_verify(args):
           f"(need d >= n-1 for n >= 2; d={sch.d}, n={sch.n})")
 
     prng = problems.Prng(args.seed)
-    dim = int(args.dim)
+    dim = args.dim
     worst_slack = -np.inf
     diverged_any = False
     kernel_worst = 0.0

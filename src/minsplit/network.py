@@ -34,6 +34,7 @@ from .splitting import (
     _norm,
     _solve_report,
     chain_argument,
+    check_budget,
     consensus_spread,  # unused here, but bench/tracing.py rebinds this module's copy
     relaxed_update,
 )
@@ -169,10 +170,10 @@ def run_protocol(nodes, gamma, rounds, tol=0.0):
     ``||z_new - z_old|| / gamma``, drops to ``tol`` (``tol=0`` runs all
     rounds).  The report's ``state.x`` stacks the last round's outputs.
 
-    Returns ``(report, logs)``; raises :class:`ParameterError` when ``rounds < 1``.
+    Returns ``(report, logs)``; raises :class:`ParameterError` unless
+    ``rounds`` passes :func:`minsplit.splitting.check_budget`.
     """
-    if not rounds >= 1:
-        raise ParameterError(f"rounds must be >= 1, got {rounds}")
+    check_budget(rounds, "rounds")
     logs = []
     _check_blocks(nodes)
     z = gathered_z(nodes)

@@ -4,11 +4,6 @@ All randomness flows through :class:`Prng`, a counter-based splitmix64
 generator with Box-Muller normal sampling.  The generator is implemented
 with explicit 64-bit unsigned arithmetic so instances (and therefore the
 CSV outputs built from them) are reproducible bit for bit from a seed.
-
-Instances can be written to a plain-text format (a header line followed by
-whitespace-separated matrix blocks) for regression against other
-implementations; floats are stored in shortest round-trip form, so a
-save/load cycle is exact.
 """
 
 from dataclasses import dataclass
@@ -17,7 +12,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .operators import AbsValue, AffineOp
-from .trace import format_float, read_blocks, write_rows
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -226,70 +220,3 @@ def gen_affine_monotone(n_ops, dim, seed, moduli=None):
         solution=solution,
         seed=int(seed),
     )
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialisation for cross-implementation regression
-
-
-def save_instance(inst, path):
-    """Write an instance as a header line plus whitespace matrix blocks."""
-    with open(path, "w") as fh:
-        if isinstance(inst, ConsensusInstance):
-            fh.write(f"consensus {inst.n} {inst.seed}\n")
-            write_rows(fh, inst.c)
-        elif isinstance(inst, RpcaInstance):
-            fh.write(
-                f"rpca {inst.m} {inst.n} {inst.seed} "
-                f"{format_float(inst.sparse_frac)} {format_float(inst.obs_frac)}\n"
-            )
-            for arr in (inst.low_rank, inst.sparse, inst.omega, inst.observed):
-                write_rows(fh, arr)
-        elif isinstance(inst, AffineMonotoneInstance):
-            fh.write(f"affine {len(inst.mats)} {inst.dim} {inst.seed}\n")
-            write_rows(fh, inst.moduli)
-            write_rows(fh, inst.solution)
-            for m, c in zip(inst.mats, inst.offsets):
-                write_rows(fh, m)
-                write_rows(fh, c)
-        else:
-            raise ParameterError(f"cannot serialise {type(inst).__name__}")
-
-
-def _instance_layout(fields):
-    kind, *head = fields
-    if kind == "consensus":
-        n, seed = map(int, head)
-        return [("c", 1, n)], lambda c: ConsensusInstance(n=n, c=c[0], seed=seed)
-    if kind == "rpca":
-        m, n, seed = map(int, head[:3])
-        sparse_frac, obs_frac = map(float, head[3:])
-        shapes = [(name, m, n) for name in ("low_rank", "sparse", "omega", "observed")]
-        return shapes, lambda omega, **blocks: RpcaInstance(
-            m=m, n=n, omega=omega.astype(bool), seed=seed,
-            sparse_frac=sparse_frac, obs_frac=obs_frac, **blocks,
-        )
-    if kind == "affine":
-        n_ops, dim, seed = map(int, head)
-        shapes = [("moduli", 1, n_ops), ("solution", 1, dim)]
-        for i in range(n_ops):
-            shapes += [(f"M{i}", dim, dim), (f"c{i}", 1, dim)]
-        return shapes, lambda moduli, solution, **blocks: AffineMonotoneInstance(
-            dim=dim,
-            mats=tuple(blocks[f"M{i}"] for i in range(n_ops)),
-            offsets=tuple(blocks[f"c{i}"][0] for i in range(n_ops)),
-            moduli=tuple(moduli[0]),
-            solution=solution[0],
-            seed=seed,
-        )
-    raise ValueError(f"unknown instance kind {kind!r}")
-
-
-def load_instance(path):
-    """Read back an instance written by :func:`save_instance`.
-
-    The file grammar and errors are those of :func:`minsplit.scheme.load_scheme`:
-    raises :class:`SchemeParseError` with a 1-based line number on malformed
-    input, including mask entries other than 0 and 1.
-    """
-    return read_blocks(path, _instance_layout, masks=("omega",))

@@ -14,6 +14,7 @@ which equals the norm of the stacked differences ``x_{i+1} - x_i``.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,15 @@ def consensus_spread(x):
     return float(np.sqrt(np.concatenate([[0.0], *sq]).max()))
 
 
+def check_budget(value, name):
+    """Raise :class:`ParameterError` naming ``name`` unless ``value`` is an
+    integer of at least 1, the form of every iteration budget and count."""
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ParameterError(f"{name} must be >= 1, got {value}")
+
+
 def iterate(step, trace, max_iter, stop, watch="residual"):
     """Drive a fixed-point iteration for at most ``max_iter`` sweeps.
 
@@ -98,10 +108,9 @@ def iterate(step, trace, max_iter, stop, watch="residual"):
     (diverged), or whose row satisfies ``stop(row)`` (converged).
 
     Returns ``(iterations, converged, diverged)``; raises
-    :class:`ParameterError` when ``max_iter < 1``.
+    :class:`ParameterError` unless ``max_iter`` passes :func:`check_budget`.
     """
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    check_budget(max_iter, "max_iter")
     for k in range(1, max_iter + 1):
         row = step()
         if trace is not None:
@@ -250,6 +259,8 @@ def _sweeps(sweep, z, gamma, solution=lambda z, x: x[0].copy(), spread=False):
 
 
 def _split_solve(ops, gamma, z0, tol, max_iter, dim, stop="residual"):
+    if len(ops) < 2:
+        raise ParameterError(f"need at least 2 operators, got {len(ops)}")
     z = _lifted(z0, len(ops) - 1, dim)
     spread = stop == "spread"
     if z.shape[1] == 1 and all(hasattr(op, "resolvent_scalar") for op in ops):
@@ -404,8 +415,10 @@ def averagedness_check(ops, gamma, trials, dim=1, seed=0):
     Returns the worst :func:`averagedness_sample` slack of the map
     ``z -> mt_step(z, ops, gamma)[0]`` over ``trials`` random pairs; a
     genuinely averaged map keeps this near machine precision, while a
-    non-averaged map exposes positive slack quickly.
+    non-averaged map exposes positive slack quickly.  ``trials`` must pass
+    :func:`check_budget`: a check that samples nothing certifies nothing.
     """
+    check_budget(trials, "trials")
     return averagedness_sample(
         lambda z: mt_step(z, ops, gamma)[0], gamma, Prng(seed), len(ops) - 1, dim, trials
     )

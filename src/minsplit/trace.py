@@ -2,7 +2,8 @@
 
 Floats are written with ``repr``, the shortest representation that
 round-trips to the same double, so identical runs produce identical bytes.
-The same rule serves the plain-text matrix files of schemes and instances.
+The same rule serves the plain-text matrix files of schemes and of the
+recovered ``rpca`` matrices.
 """
 
 import math
@@ -54,7 +55,7 @@ def write_rows(fh, arr):
         fh.write(" ".join(format_float(v) for v in row) + "\n")
 
 
-def read_blocks(path, layout, masks=()):
+def read_blocks(path, layout):
     """Parse a header line followed by whitespace-separated matrix blocks.
 
     Blank lines and lines starting with ``#`` are skipped.  ``layout`` maps
@@ -62,8 +63,8 @@ def read_blocks(path, layout, masks=()):
     as ``(name, rows, cols)`` in file order, and ``build(**blocks)`` makes
     the result from the parsed arrays.  A ``ValueError`` from ``layout``
     marks a malformed header, one from ``build`` inconsistent blocks.  Every
-    row must hold ``cols`` finite numbers, the entries of the blocks named in
-    ``masks`` must be 0 or 1, and the file must end after the last block.
+    row must hold ``cols`` finite numbers, and the file must end after the
+    last block.
 
     Raises :class:`SchemeParseError` with a 1-based line number on malformed
     input.
@@ -102,8 +103,6 @@ def read_blocks(path, layout, masks=()):
                 raise SchemeParseError(no, f"non-numeric entry in {name} row {r + 1}")
             if not all(map(math.isfinite, data[-1])):
                 raise SchemeParseError(no, f"{name} row {r + 1} contains non-finite entries")
-            if name in masks and not set(data[-1]) <= {0.0, 1.0}:
-                raise SchemeParseError(no, f"{name} row {r + 1} entries must be 0 or 1")
         blocks[name] = np.array(data)
     if cursor != len(lines):
         raise SchemeParseError(lines[cursor][0], f"trailing content after {name} block")

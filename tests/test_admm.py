@@ -6,6 +6,7 @@ import pytest
 import minsplit.admm
 from minsplit import (
     PartialMatrix,
+    Prng,
     SepProblem,
     admm_auglag_step,
     admm_avg_step,
@@ -25,15 +26,13 @@ from minsplit import (
     mt_step,
     op_norm,
     pdhg_solve,
-    pdhg_step,
     pdhg_stepsizes,
-    point_block,
-    prox_compose,
-    prox_compose_check,
+    prox_abs,
     prox_l1,
     quadratic_block,
     rpca_problem,
 )
+from minsplit.admm import _DualBlockOp
 from minsplit.errors import ParameterError, SubproblemError
 
 from conftest import count_calls
@@ -147,7 +146,8 @@ def test_infeasible_problem_reports_nonconvergence():
 
 def test_point_blocks_immediately_feasible():
     target = np.array([1.0, -2.0, 0.5])
-    p = SepProblem(blocks=tuple(point_block(target) for _ in range(3)), b=3.0 * target)
+    point = identity_prox_block(lambda u: target.copy(), 3, coercive=True)
+    p = SepProblem(blocks=(point,) * 3, b=3.0 * target)
     z, w = admm_avg_step(p, np.zeros((2, 3)), 0.5)
     assert np.linalg.norm(sum(w) - p.b) <= 1e-14
 
@@ -243,7 +243,30 @@ def test_dual_ops_are_firmly_nonexpansive(rng):
 
 
 # ---------------------------------------------------------------------------
-# composition rule for proximity operators
+# composition rule for proximity operators: a dual block's resolvent is the
+# proximity operator of h(z) = f^*(-A^T z) (+ <b, z>)
+
+
+def prox_compose_check(block, z, b, h_fn, seed=0, trials=50):
+    """Certify ``_DualBlockOp(block, b).resolvent`` by the proximal inequality.
+
+    For the output ``w`` and random competitors ``q`` the gap
+    ``h(w) + 0.5||w - z||^2 - h(q) - 0.5||q - z||^2`` must stay nonpositive
+    (up to roundoff).  Returns ``(w, worst_gap)``; a non-finite gap ends the
+    check with ``worst_gap = inf``.
+    """
+    w = _DualBlockOp(block, b).resolvent(z)
+    value = h_fn(w) + 0.5 * float(np.linalg.norm(w - z) ** 2)
+    prng = Prng(seed)
+    worst = -math.inf
+    for _ in range(trials):
+        scale = 10.0 ** float(prng.uniforms(1)[0] * 2 - 1)
+        q = w + scale * prng.normals(z.size)
+        gap = value - h_fn(q) - 0.5 * float(np.linalg.norm(q - z) ** 2)
+        if not math.isfinite(gap):
+            return w, math.inf
+        worst = max(worst, gap)
+    return w, worst
 
 
 def test_prox_compose_quadratic_closed_form(rng):
@@ -251,7 +274,7 @@ def test_prox_compose_quadratic_closed_form(rng):
     # 0.5||.||^2, whose proximity operator is z / 2
     blk = quadratic_block(np.eye(3), np.zeros(3), np.eye(3))
     z = rng.standard_normal(3)
-    assert np.linalg.norm(prox_compose(blk, z) - z / 2.0) <= 1e-12
+    assert np.linalg.norm(_DualBlockOp(blk).resolvent(z) - z / 2.0) <= 1e-12
     w, gap = prox_compose_check(blk, z, None, lambda u: 0.5 * float(u @ u),
                                 seed=5, trials=100)
     assert gap <= 1e-8
@@ -261,7 +284,7 @@ def test_prox_compose_offset_forces_constraint_value(rng):
     blk = quadratic_block(np.eye(3), np.zeros(3), np.eye(3))
     z = rng.standard_normal(3)
     b = rng.standard_normal(3)
-    w = prox_compose(blk, z, b)
+    w = _DualBlockOp(blk, b).resolvent(z)
     # direct minimisation: x_hat = argmin 0.5||x||^2 + 0.5||x - b + z||^2
     x_hat = (b - z) / 2.0
     assert np.linalg.norm(w - (z + x_hat - b)) <= 1e-12
@@ -282,7 +305,7 @@ def test_prox_compose_zero_map_gives_linear_prox(rng):
     blk = quadratic_block(np.eye(2), np.zeros(2), np.zeros((3, 2)))
     z = rng.standard_normal(3)
     b = rng.standard_normal(3)
-    assert np.linalg.norm(prox_compose(blk, z, b) - (z - b)) <= 1e-12
+    assert np.linalg.norm(_DualBlockOp(blk, b).resolvent(z) - (z - b)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +437,9 @@ def test_diverged_admm_still_reports_its_last_duals(form):
     assert np.all(np.isfinite(rep.duals))
 
 
-def test_pdhg_solve_iterates_pdhg_step(rng):
+def test_pdhg_solve_matches_reference_loop(rng):
+    # the primal-dual step written out: shrink after a dual descent step, then
+    # ascend along L at the extrapolated primal, with pdhg_solve's grouping
     inst = gen_consensus(6, 3)
     lap = cycle_laplacian(6)
     tau, sigma = pdhg_stepsizes(op_norm(lap), 2)
@@ -422,7 +447,8 @@ def test_pdhg_solve_iterates_pdhg_step(rng):
     rep = pdhg_solve(inst.c, lap, tau, sigma, x0=x0, y0=y0, tol=0.0, max_iter=40)
     x, y = x0, y0
     for _ in range(40):
-        x, y = pdhg_step(x, y, tau, sigma, lap, inst.c)
+        x_next = prox_abs(x - tau * (lap @ y), inst.c, tau)
+        x, y = x_next, y + sigma * (lap @ (2.0 * x_next - x))
     assert np.array_equal(rep.x, x) and np.array_equal(rep.y, y)
 
 
@@ -451,11 +477,9 @@ def test_pdhg_decoupled_when_graph_absent(rng):
     c = rng.standard_normal(5)
     x = rng.standard_normal(5)
     y = rng.standard_normal(5)
-    x2, y2 = pdhg_step(x, y, 0.7, 0.7, np.zeros((5, 5)), c)
-    from minsplit import prox_abs
-
-    assert np.array_equal(x2, prox_abs(x, c, 0.7))
-    assert np.array_equal(y2, y)
+    rep = pdhg_solve(c, np.zeros((5, 5)), 0.7, 0.7, x0=x, y0=y, tol=0.0, max_iter=1)
+    assert np.array_equal(rep.x, prox_abs(x, c, 0.7))
+    assert np.array_equal(rep.y, y)
 
 
 def test_pdhg_stepsize_pairs_satisfy_constraint():
@@ -469,9 +493,8 @@ def test_pdhg_stepsize_pairs_satisfy_constraint():
 def test_pdhg_rejects_boundary_product():
     lap = cycle_laplacian(10)
     norm = op_norm(lap)
-    with pytest.raises(ParameterError):
-        pdhg_step(np.zeros(10), np.zeros(10), 1.0 / norm, 1.0 / norm, lap,
-                  np.zeros(10), lap_norm=norm)
+    with pytest.raises(ParameterError, match="must be < 1"):
+        pdhg_solve(np.zeros(10), lap, 1.0 / norm, 1.0 / norm)
 
 
 @pytest.mark.parametrize("lam, delta", [(math.nan, 0.1), (0.25, math.nan)])
@@ -499,7 +522,7 @@ def test_pdhg_rejects_nan_steps():
     with pytest.raises(ParameterError, match="lap_norm"):
         pdhg_stepsizes(math.nan, 1)
     with pytest.raises(ParameterError, match="tau and sigma"):
-        pdhg_step(np.zeros(4), np.zeros(4), math.nan, 0.1, lap, np.zeros(4), lap_norm=4.0)
+        pdhg_solve(np.zeros(4), lap, math.nan, 0.1)
 
 
 def test_pdhg_consensus_median():

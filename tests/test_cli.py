@@ -109,9 +109,18 @@ def test_verify_honours_max_iter(capsys):
 
 
 def test_verify_zero_budget_exits_2_with_parameter_error(capsys):
-    rc, _, err = run_cli(capsys, "verify", "--builtin", "mt:4", "--max-iter", "0")
+    rc, out, err = run_cli(capsys, "verify", "--builtin", "mt:4", "--max-iter", "0")
     assert rc == 2
     assert err == "error: ParameterError: max_iter must be >= 1, got 0\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_verify_bad_dim_exits_2_before_printing(capsys, dim):
+    rc, out, err = run_cli(capsys, "verify", "--builtin", "mt:4", "--dim", dim)
+    assert rc == 2
+    assert err == f"error: ParameterError: dim must be >= 1, got {dim}\n"
+    assert out == ""
 
 
 # SHA-256 of the CSVs as first written.  mt at dim=1 runs in Python floats,

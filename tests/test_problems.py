@@ -17,7 +17,7 @@ from minsplit import (
     op_norm,
     svd,
 )
-from minsplit.errors import ParameterError, SchemeParseError
+from minsplit.errors import ParameterError
 
 MASK = (1 << 64) - 1
 
@@ -235,151 +235,3 @@ def test_affine_monotone_firmness_audit(rng):
     for op in inst.operators():
         for _ in range(100):
             assert firmness_gap(op, rng.standard_normal(3), rng.standard_normal(3)) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialisation
-
-
-def test_save_load_consensus_exact(tmp_path):
-    from minsplit import load_instance, save_instance
-
-    inst = gen_consensus(10, 4)
-    path = tmp_path / "c.txt"
-    save_instance(inst, path)
-    back = load_instance(path)
-    assert back.n == inst.n and back.seed == inst.seed
-    assert np.array_equal(back.c, inst.c)
-
-
-def test_save_load_rpca_exact(tmp_path):
-    from minsplit import load_instance, save_instance
-
-    inst = gen_rpca(8, 6, 3)
-    path = tmp_path / "r.txt"
-    save_instance(inst, path)
-    back = load_instance(path)
-    assert np.array_equal(back.observed, inst.observed)
-    assert np.array_equal(back.omega, inst.omega)
-    assert np.array_equal(back.low_rank, inst.low_rank)
-    assert np.array_equal(back.sparse, inst.sparse)
-
-
-def test_save_load_affine_exact(tmp_path):
-    from minsplit import load_instance, save_instance
-
-    inst = gen_affine_monotone(3, 4, 9, moduli=(0.0, 0.25, 0.5))
-    path = tmp_path / "a.txt"
-    save_instance(inst, path)
-    back = load_instance(path)
-    assert back.moduli == inst.moduli
-    assert np.array_equal(back.solution, inst.solution)
-    for a, b in zip(back.mats, inst.mats):
-        assert np.array_equal(a, b)
-    for a, b in zip(back.offsets, inst.offsets):
-        assert np.array_equal(a, b)
-
-
-# Malformed instance files raise SchemeParseError at the offending line, as
-# scheme files do.
-
-
-def _load_text(tmp_path, text):
-    from minsplit import load_instance
-
-    path = tmp_path / "inst.txt"
-    path.write_text(text)
-    return load_instance(path)
-
-
-def test_load_instance_rejects_short_consensus_row(tmp_path):
-    with pytest.raises(SchemeParseError) as err:
-        _load_text(tmp_path, "consensus 5 4\n1.0 2.0 3.0 4.0\n")
-    assert err.value.line_no == 2
-
-
-def test_load_instance_rejects_trailing_rows(tmp_path):
-    with pytest.raises(SchemeParseError) as err:
-        _load_text(tmp_path, "consensus 2 4\n1.0 2.0\n3.0 4.0\n")
-    assert err.value.line_no == 3
-
-
-def test_load_instance_rejects_empty_file(tmp_path):
-    with pytest.raises(SchemeParseError) as err:
-        _load_text(tmp_path, "\n  \n")
-    assert err.value.line_no == 1
-
-
-def test_load_instance_skips_comments(tmp_path):
-    inst = _load_text(tmp_path, "# two targets\nconsensus 2 4\n\n# c\n1.0 -2.5\n")
-    assert inst.n == 2 and inst.seed == 4
-    assert np.array_equal(inst.c, [1.0, -2.5])
-
-
-def test_load_instance_rejects_non_numeric_entry(tmp_path):
-    with pytest.raises(SchemeParseError) as err:
-        _load_text(tmp_path, "affine 1 2 0\n0.0\n1.0 x\n1 0\n0 1\n0 0\n")
-    assert err.value.line_no == 3
-    # a non-finite entry is reported on its own line too
-    with pytest.raises(SchemeParseError) as err:
-        _load_text(tmp_path, "affine 1 2 0\n0.0\n1.0 2.0\n1 0\n0 inf\n0 0\n")
-    assert err.value.line_no == 5
-
-
-def test_load_instance_rejects_fractional_mask(tmp_path):
-    text = "rpca 1 2 0 0.1 0.5\n1 2\n0 0\n1 0.5\n1 0\n"
-    with pytest.raises(SchemeParseError) as err:
-        _load_text(tmp_path, text)
-    assert err.value.line_no == 4
-    inst = _load_text(tmp_path, text.replace("0.5\n", "0\n"))
-    assert inst.omega.dtype == bool and inst.omega.tolist() == [[True, False]]
-
-
-@pytest.mark.parametrize("header", ["1", "consensus 1", "consensus 1 4 9", "consensus one 4",
-                                    "lasso 1 4", "affine 0 1 4"])
-def test_load_instance_rejects_bad_header(tmp_path, header):
-    with pytest.raises(SchemeParseError) as err:
-        _load_text(tmp_path, f"# comment\n{header}\n1.0\n")
-    assert err.value.line_no == 2
-
-
-def _round_trip(tmp_path, inst):
-    from minsplit import load_instance, save_instance
-
-    path = tmp_path / "inst.txt"
-    save_instance(inst, path)
-    back = load_instance(path)
-    save_instance(back, tmp_path / "again.txt")
-    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
-    return back
-
-
-@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
-def test_consensus_round_trip_is_exact(tmp_path_factory, n, seed):
-    inst = gen_consensus(n, seed)
-    back = _round_trip(tmp_path_factory.mktemp("c"), inst)
-    assert (back.n, back.seed) == (inst.n, inst.seed)
-    assert np.array_equal(back.c, inst.c)
-
-
-@given(m=st.integers(2, 7), n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
-def test_rpca_round_trip_is_exact(tmp_path_factory, m, n, seed):
-    inst = gen_rpca(m, n, seed)
-    back = _round_trip(tmp_path_factory.mktemp("r"), inst)
-    assert (back.m, back.n, back.seed) == (inst.m, inst.n, inst.seed)
-    assert (back.sparse_frac, back.obs_frac) == (inst.sparse_frac, inst.obs_frac)
-    for name in ("low_rank", "sparse", "omega", "observed"):
-        assert np.array_equal(getattr(back, name), getattr(inst, name)), name
-    assert back.omega.dtype == bool
-
-
-@given(n_ops=st.integers(1, 5), dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       data=st.data())
-def test_affine_round_trip_is_exact(tmp_path_factory, n_ops, dim, seed, data):
-    moduli = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n_ops, max_size=n_ops))
-    inst = gen_affine_monotone(n_ops, dim, seed, moduli=moduli)
-    back = _round_trip(tmp_path_factory.mktemp("a"), inst)
-    assert (back.dim, back.seed, back.moduli) == (inst.dim, inst.seed, inst.moduli)
-    assert np.array_equal(back.solution, inst.solution)
-    for a, b in zip(back.mats + back.offsets, inst.mats + inst.offsets):
-        assert np.array_equal(a, b)

@@ -301,6 +301,33 @@ def test_scheme_parse_errors(tmp_path):
     assert "Sx" in str(err.value) or "non-numeric" in str(err.value)
 
 
+def test_load_scheme_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("\n# only a comment\n  \n")
+    with pytest.raises(SchemeParseError) as err:
+        load_scheme(path)
+    assert err.value.line_no == 1 and "empty file" in str(err.value)
+
+
+def test_load_scheme_rejects_a_row_of_the_wrong_width(tmp_path):
+    path = tmp_path / "narrow.txt"
+    path.write_text("2 1\n1\n-1\n\n0 0\n2\n")
+    with pytest.raises(SchemeParseError) as err:
+        load_scheme(path)
+    assert err.value.line_no == 6
+    assert str(err.value) == "line 6: L row 2 needs 2 entries, got 1"
+
+
+@pytest.mark.parametrize("header, shape", [("0 1", "0x1"), ("2 0", "2x0")])
+def test_load_scheme_rejects_a_header_with_an_empty_block(tmp_path, header, shape):
+    path = tmp_path / "empty_block.txt"
+    path.write_text(f"# comment\n{header}\n1\n")
+    with pytest.raises(SchemeParseError) as err:
+        load_scheme(path)
+    assert err.value.line_no == 2
+    assert str(err.value) == f"line 2: header gives B the shape {shape}"
+
+
 def test_scheme_parse_reports_line_numbers(tmp_path):
     path = tmp_path / "short.txt"
     path.write_text("2 1\n1\n")

@@ -28,7 +28,6 @@ from minsplit import (
     op_norm,
     pdhg_solve,
     pdhg_stepsizes,
-    point_block,
     pr_solve,
     product_dr_solve,
     rpca_problem,
@@ -57,7 +56,8 @@ def nan_ops(n):
 
 def nan_admm_problem():
     nan_block = identity_prox_block(lambda u: np.full_like(u, np.nan), 2, coercive=True)
-    return SepProblem(blocks=(nan_block, point_block(np.ones(2))), b=np.ones(2))
+    point = identity_prox_block(lambda u: np.ones(2), 2, coercive=True)
+    return SepProblem(blocks=(nan_block, point), b=np.ones(2))
 
 
 def _report(r):
@@ -159,6 +159,42 @@ ZERO_BUDGET_RUNS = {
 def test_zero_budget_raises_parameter_error(name):
     with pytest.raises(ParameterError):
         ZERO_BUDGET_RUNS[name]()
+
+
+BUDGET_ENTRY_POINTS = {
+    "mt_solve": ("max_iter", lambda budget: mt_solve([ZeroOp(), ZeroOp()], dim=1,
+                                                     max_iter=budget)),
+    "run_protocol": ("rounds", lambda budget: run_protocol(
+        make_nodes(gen_consensus(3, 1).operators(), np.zeros((2, 1))), 0.9, budget
+    )),
+}
+
+
+@pytest.mark.parametrize("budget, message", [
+    (math.nan, "must be an integer, got nan"),
+    (2.5, "must be an integer, got 2.5"),
+    (0, "must be >= 1, got 0"),
+    (-1, "must be >= 1, got -1"),
+], ids=["nan", "2.5", "0", "-1"])
+@pytest.mark.parametrize("entry", sorted(BUDGET_ENTRY_POINTS))
+def test_bad_budget_is_a_named_parameter_error(entry, budget, message):
+    name, run = BUDGET_ENTRY_POINTS[entry]
+    with pytest.raises(ParameterError) as err:
+        run(budget)
+    assert str(err.value) == f"{name} {message}"
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("solve", [mt_solve, pr_solve])
+def test_split_solve_needs_two_operators_on_both_paths(solve, dim):
+    # dim=1 takes the pure-float path, dim=2 the array path
+    with pytest.raises(ParameterError, match="need at least 2 operators, got 1"):
+        solve([ZeroOp()], dim=dim)
+
+
+def test_averagedness_check_needs_a_sample():
+    with pytest.raises(ParameterError, match="trials must be >= 1, got 0"):
+        averagedness_check([ZeroOp(), ZeroOp()], 0.5, trials=0)
 
 
 @pytest.mark.parametrize("command", ["consensus", "rpca"])
