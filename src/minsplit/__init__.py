@@ -45,13 +45,10 @@ from .network import (
 from .operators import (
     AbsValue,
     AffineOp,
-    AffineSetIndicator,
-    ConstantOp,
     MonotoneOp,
     PartialMatrix,
     PointIndicator,
     ProxOp,
-    ScaledOp,
     ZeroOp,
     firmness_gap,
     prox_abs,

@@ -38,7 +38,7 @@ class SubproblemError(MinsplitError, RuntimeError):
 
 
 class SchemeParseError(MinsplitError, ValueError):
-    """A scheme or instance file could not be parsed."""
+    """A scheme file could not be parsed."""
 
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")

@@ -195,46 +195,6 @@ class PointIndicator(MonotoneOp):
         return PointIndicator, (self.p,)
 
 
-class AffineSetIndicator(MonotoneOp):
-    """Normal cone of the affine set ``anchor + span(basis rows)``.
-
-    The resolvent is the orthogonal projection onto the set (step drops out).
-    """
-
-    def __init__(self, anchor, basis):
-        self.anchor = linalg.as_vector(anchor, "anchor")
-        basis = np.atleast_2d(np.asarray(basis, dtype=np.float64))
-        q, _ = np.linalg.qr(basis.T)
-        self._q = q
-
-    def resolvent(self, y, step=1.0):
-        d = np.asarray(y, dtype=np.float64) - self.anchor
-        return self.anchor + self._q @ (self._q.T @ d)
-
-
-class ConstantOp(MonotoneOp):
-    """The constant operator ``x -> v``; resolvent ``y - step*v``."""
-
-    def __init__(self, v):
-        self.v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-
-    def resolvent(self, y, step=1.0):
-        return np.asarray(y, dtype=np.float64) - step * self.v
-
-
-class ScaledOp(MonotoneOp):
-    """The operator ``alpha * A`` for ``alpha > 0``, via step rescaling."""
-
-    def __init__(self, op, alpha):
-        if not alpha > 0:
-            raise ParameterError(f"alpha must be positive, got {alpha}")
-        self.op = op
-        self.alpha = alpha
-
-    def resolvent(self, y, step=1.0):
-        return self.op.resolvent(y, step * self.alpha)
-
-
 class ProxOp(MonotoneOp):
     """Wrap a callable ``(y, step) -> J(y)`` as a monotone operator."""
 

@@ -80,7 +80,6 @@ class ConsensusInstance:
 
     n: int
     c: np.ndarray
-    seed: int
 
     def operators(self):
         """One absolute-value subdifferential per target."""
@@ -100,7 +99,7 @@ def gen_consensus(n, seed):
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     prng = Prng(seed)
-    return ConsensusInstance(n=n, c=prng.normals(n), seed=int(seed))
+    return ConsensusInstance(n=n, c=prng.normals(n))
 
 
 def cycle_laplacian(n):
@@ -118,23 +117,18 @@ def cycle_laplacian(n):
 class RpcaInstance:
     """A partially observed low-rank-plus-sparse matrix recovery instance."""
 
-    m: int
-    n: int
     low_rank: np.ndarray
     sparse: np.ndarray
     omega: np.ndarray
     observed: np.ndarray
-    seed: int
-    sparse_frac: float
-    obs_frac: float
 
 
-def gen_rpca(m, n, seed, sparse_frac=0.15, obs_frac=0.40):
+def gen_rpca(m, n, seed):
     """Checkerboard low-rank part, sparse normal corruption, random mask.
 
-    The sparse support and the observation mask each contain exactly
-    ``round(frac * m * n)`` entries, drawn as a random subset, so the
-    realised fractions match the targets to within one entry.  Observed
+    The sparse support holds exactly ``round(0.15 * m * n)`` entries and the
+    observation mask ``round(0.40 * m * n)``, each drawn as a random subset,
+    so the realised fractions match 15% and 40% to within one entry.  Observed
     entries satisfy ``observed = low_rank + sparse`` on the mask and are
     zero elsewhere.
     """
@@ -144,28 +138,23 @@ def gen_rpca(m, n, seed, sparse_frac=0.15, obs_frac=0.40):
     i, j = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
     low_rank = ((i + j) % 2).astype(np.float64)
 
-    k_sparse = round(sparse_frac * m * n)
+    k_sparse = round(0.15 * m * n)
     support = prng.subset(m * n, k_sparse)
     sparse = np.zeros(m * n)
     sparse[support] = prng.normals(k_sparse)
     sparse = sparse.reshape(m, n)
 
-    k_obs = round(obs_frac * m * n)
+    k_obs = round(0.40 * m * n)
     omega = np.zeros(m * n, dtype=bool)
     omega[prng.subset(m * n, k_obs)] = True
     omega = omega.reshape(m, n)
 
     observed = np.where(omega, low_rank + sparse, 0.0)
     return RpcaInstance(
-        m=m,
-        n=n,
         low_rank=low_rank,
         sparse=sparse,
         omega=omega,
         observed=observed,
-        seed=int(seed),
-        sparse_frac=sparse_frac,
-        obs_frac=obs_frac,
     )
 
 
@@ -173,12 +162,9 @@ def gen_rpca(m, n, seed, sparse_frac=0.15, obs_frac=0.40):
 class AffineMonotoneInstance:
     """Random affine monotone operators with a known zero of their sum."""
 
-    dim: int
     mats: tuple
     offsets: tuple
-    moduli: tuple
     solution: np.ndarray
-    seed: int
 
     def operators(self):
         return [AffineOp(m, c) for m, c in zip(self.mats, self.offsets)]
@@ -213,10 +199,7 @@ def gen_affine_monotone(n_ops, dim, seed, moduli=None):
         total = total + c
     offsets.append(-total)
     return AffineMonotoneInstance(
-        dim=dim,
         mats=tuple(mats),
         offsets=tuple(offsets),
-        moduli=tuple(float(b) for b in moduli),
         solution=solution,
-        seed=int(seed),
     )

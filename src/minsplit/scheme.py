@@ -12,17 +12,24 @@ matrices acting blockwise on lifted points:
 This module executes such schemes generically (:func:`update_map` gives
 ``T(z)`` and ``x`` alone), certifies their structural identities
 numerically (kernel residuals of a block matrix, the consensus/averaging
-conditions of the solution map), and validates the lifting dimension lower
-bound ``d >= n - 1`` for ``n >= 2``.
+conditions of the solution map), validates the lifting dimension lower
+bound ``d >= n - 1`` for ``n >= 2``, and owns the plain-text scheme file
+format (:func:`save_scheme`, :func:`load_scheme`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAFixedPointError, ParameterError, ShapeError
+from .errors import NotAFixedPointError, ParameterError, SchemeParseError, ShapeError
 from .splitting import _lifted, _sweeps, consensus_spread, iterate, stop_at_tol
-from .trace import read_blocks, write_rows
+from .trace import write_rows
+
+
+def _block_shapes(n, d):
+    # the six blocks in the order scheme files hold them
+    return {"B": (n, d), "L": (n, n), "Tz": (d, d), "Tx": (d, n), "Sz": (1, d), "Sx": (1, n)}
 
 
 @dataclass(frozen=True)
@@ -42,15 +49,7 @@ class SchemeMatrices:
         n, d = self.n, self.d
         if n < 1 or d < 1:
             raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-        shapes = {
-            "B": (n, d),
-            "L": (n, n),
-            "Tz": (d, d),
-            "Tx": (d, n),
-            "Sz": (1, d),
-            "Sx": (1, n),
-        }
-        for name, want in shapes.items():
+        for name, want in _block_shapes(n, d).items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != want:
                 raise ShapeError(f"{name} must have shape {want}, got {arr.shape}")
@@ -268,21 +267,56 @@ def save_scheme(s, path):
     matrix blocks (B, L, Tz, Tx, Sz, Sx), rows whitespace separated."""
     with open(path, "w") as fh:
         fh.write(f"{s.n} {s.d}\n")
-        for name in ("B", "L", "Tz", "Tx", "Sz", "Sx"):
+        for name in _block_shapes(s.n, s.d):
             fh.write("\n")
             write_rows(fh, getattr(s, name))
 
 
-def _scheme_layout(fields):
-    n, d = map(int, fields)
-    shapes = [("B", n, d), ("L", n, n), ("Tz", d, d), ("Tx", d, n), ("Sz", 1, d), ("Sx", 1, n)]
-    return shapes, lambda **blocks: SchemeMatrices(n=n, d=d, **blocks)
-
-
 def load_scheme(path):
-    """Parse a scheme file written by :func:`save_scheme`.
+    """Parse a scheme file written by :func:`save_scheme`; blank lines and
+    ``#`` lines are skipped, and the file must end after the ``Sx`` block.
 
     Raises :class:`SchemeParseError` with a 1-based line number on malformed
     input.
     """
-    return read_blocks(path, _scheme_layout)
+    with open(path) as fh:
+        lines = [(no, line.strip()) for no, line in enumerate(fh, start=1)
+                 if line.strip() and not line.strip().startswith("#")]
+    if not lines:
+        raise SchemeParseError(1, "empty file")
+    head_no, header = lines[0]
+    try:
+        n, d = map(int, header.split())
+    except ValueError as exc:
+        raise SchemeParseError(head_no, f"bad header {header!r}: {exc}")
+    if n < 1 or d < 1:  # B is (n, d), so no later block can be empty
+        raise SchemeParseError(head_no, f"header gives B the shape {n}x{d}")
+    cursor = 1
+    blocks = {}
+    for name, (rows, cols) in _block_shapes(n, d).items():
+        data = []
+        for r in range(rows):
+            if cursor >= len(lines):
+                raise SchemeParseError(
+                    lines[-1][0], f"unexpected end of file while reading {name}"
+                )
+            no, line = lines[cursor]
+            cursor += 1
+            fields = line.split()
+            if len(fields) != cols:
+                raise SchemeParseError(
+                    no, f"{name} row {r + 1} needs {cols} entries, got {len(fields)}"
+                )
+            try:
+                data.append([float(f) for f in fields])
+            except ValueError:
+                raise SchemeParseError(no, f"non-numeric entry in {name} row {r + 1}")
+            if not all(map(math.isfinite, data[-1])):
+                raise SchemeParseError(no, f"{name} row {r + 1} contains non-finite entries")
+        blocks[name] = np.array(data)
+    if cursor != len(lines):
+        raise SchemeParseError(lines[cursor][0], "trailing content after Sx block")
+    try:
+        return SchemeMatrices(n=n, d=d, **blocks)
+    except ValueError as exc:
+        raise SchemeParseError(head_no, str(exc))

@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from minsplit import (
     AbsValue,
     AffineOp,
-    AffineSetIndicator,
-    ConstantOp,
     MonotoneOp,
     PartialMatrix,
     PointIndicator,
     ProxOp,
-    ScaledOp,
     SepProblem,
     ZeroOp,
     dual_ops,
@@ -27,6 +24,7 @@ from minsplit import (
     project_partial_ball,
     quadratic_block,
 )
+from minsplit.admm import _DualBlockOp
 from minsplit.errors import ParameterError, ShapeError
 
 from conftest import affine_ops
@@ -191,7 +189,6 @@ NAN_PARAMETER_CALLS = {
     "project_partial_ball delta": lambda: project_partial_ball(
         np.ones((2, 2)), np.ones((2, 2), dtype=bool), math.nan),
     "AffineOp step": lambda: AffineOp(np.eye(2), np.zeros(2)).resolvent(np.zeros(2), math.nan),
-    "ScaledOp alpha": lambda: ScaledOp(ZeroOp(), math.nan),
 }
 
 
@@ -327,6 +324,10 @@ def test_affine_op_resolvent_trivial(rng):
     assert np.allclose(out, y, atol=1e-12)
     out = AffineOp(np.eye(4), np.zeros(4)).resolvent(y, 1.0)
     assert np.allclose(out, y / 2.0, atol=1e-12)
+    # m = 0 is the constant operator x -> c, whose resolvent is the shift y - step * c
+    c = rng.standard_normal(4)
+    out = AffineOp(np.zeros((4, 4)), c).resolvent(y, 0.7)
+    assert np.allclose(out, y - 0.7 * c, atol=1e-12)
 
 
 def test_affine_op_firmly_nonexpansive(rng):
@@ -359,29 +360,6 @@ def test_affine_op_rejects_nonmonotone():
         AffineOp(-np.eye(2), np.zeros(2))
 
 
-def test_constant_op_shift(rng):
-    # x -> -b has the resolvent y + step * b, bit for bit
-    y = np.array([0.0, 0.0])
-    assert np.array_equal(ConstantOp(-np.zeros(2)).resolvent(y, 1.0), y)
-    b = np.array([1.0, 0.0])
-    assert np.array_equal(ConstantOp(-b).resolvent(y, 1.0), np.array([1.0, 0.0]))
-    b, y = rng.standard_normal(5), rng.standard_normal(5)
-    assert np.array_equal(ConstantOp(-b).resolvent(y, 0.7), y + 0.7 * b)
-
-
-def test_constant_op_prox_inequality(rng):
-    # ConstantOp(-b) is the gradient of f(x) = -<b, x>; its resolvent at
-    # step is the prox of step * f
-    b = rng.standard_normal(3)
-    y = rng.standard_normal(3)
-    step = 0.7
-    p = ConstantOp(-b).resolvent(y, step)
-    fp = -step * b @ p + 0.5 * np.linalg.norm(p - y) ** 2
-    for _ in range(100):
-        q = p + rng.standard_normal(3) * rng.uniform(0.01, 3.0)
-        assert fp <= -step * b @ q + 0.5 * np.linalg.norm(q - y) ** 2 + 1e-8
-
-
 def test_prox_abs_prox_inequality(rng):
     c = rng.standard_normal(4)
     y = rng.standard_normal(4)
@@ -398,8 +376,9 @@ def test_prox_abs_prox_inequality(rng):
 
 
 def _zoo(rng, dim=3, seed=77):
-    # one operator of every class in the package, each acting on R^dim; the
-    # dual block operators come from a two-block quadratic problem
+    # one operator of every class in the package, each acting on R^dim: among
+    # them a projection (PointIndicator) and a constant shift (AffineOp with
+    # m = 0); the dual block operators come from a two-block quadratic problem
     inst, ops = affine_ops(2, dim, seed=seed)
     blocks = []
     for _ in range(2):
@@ -412,9 +391,7 @@ def _zoo(rng, dim=3, seed=77):
         AbsValue(rng.standard_normal(dim)),
         ops[0],
         PointIndicator(rng.standard_normal(dim)),
-        AffineSetIndicator(rng.standard_normal(dim), rng.standard_normal((1, dim))),
-        ConstantOp(rng.standard_normal(dim)),
-        ScaledOp(ops[1], 0.35),
+        AffineOp(np.zeros((dim, dim)), rng.standard_normal(dim)),
         ProxOp(prox_l1),
         *duals,
     ]
@@ -429,15 +406,18 @@ def test_zoo_firmly_nonexpansive(rng):
         assert worst <= 1e-10, type(op).__name__
 
 
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5))
-def test_every_operator_class_is_firmly_nonexpansive(seed, dim):
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), step=st.floats(0.05, 20.0))
+def test_every_operator_class_is_firmly_nonexpansive(seed, dim, step):
+    # J_{step*A} is the resolvent of step*A, so a drawn step rescales each operator;
+    # the dual block resolvents exist only at unit step
     rng = np.random.default_rng(seed)
     zoo = _zoo(rng, dim, seed)
     package_classes = {c for c in MonotoneOp.__subclasses__() if c.__module__.startswith("minsplit")}
     assert package_classes <= {type(op) for op in zoo}
     for op in zoo:
+        op_step = 1.0 if isinstance(op, _DualBlockOp) else step
         for _ in range(5):
-            gap = firmness_gap(op, rng.standard_normal(dim), rng.standard_normal(dim))
+            gap = firmness_gap(op, rng.standard_normal(dim), rng.standard_normal(dim), op_step)
             assert gap <= 1e-10, type(op).__name__
 
 

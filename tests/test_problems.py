@@ -122,7 +122,7 @@ def test_consensus_solver_target_is_median():
 def test_consensus_symmetric_targets():
     from minsplit import ConsensusInstance
 
-    inst = ConsensusInstance(n=3, c=np.array([-1.0, 0.0, 1.0]), seed=0)
+    inst = ConsensusInstance(n=3, c=np.array([-1.0, 0.0, 1.0]))
     report = mt_solve(inst.operators(), gamma=0.9, tol=1e-12, max_iter=20000, dim=1)
     assert abs(report.final_x[0]) <= 1e-8
 
@@ -197,12 +197,9 @@ def test_rpca_deterministic_and_consistent():
 def test_affine_monotone_zero_construction():
     dim = 3
     inst = AffineMonotoneInstance(
-        dim=dim,
         mats=(np.zeros((dim, dim)),) * 2,
         offsets=(np.zeros(dim),) * 2,
-        moduli=(0.0, 0.0),
         solution=np.zeros(dim),
-        seed=0,
     )
     y = np.array([0.3, -1.0, 2.0])
     for op in inst.operators():

@@ -10,7 +10,6 @@ import minsplit.splitting
 from minsplit import (
     AbsValue,
     AffineOp,
-    AffineSetIndicator,
     MonotoneOp,
     PointIndicator,
     Prng,
@@ -252,9 +251,10 @@ def test_dr_step_zero_ops(rng):
 
 
 def test_dr_step_two_lines_intersection():
-    # lines {t*(1,0)} and {(0,1) + t*(1,1)} intersect at (-1, 0)
-    l1 = AffineSetIndicator(np.zeros(2), np.array([[1.0, 0.0]]))
-    l2 = AffineSetIndicator(np.array([0.0, 1.0]), np.array([[1.0, 1.0]]))
+    # lines {t*(1,0)} and {(0,1) + t*(1,1)} intersect at (-1, 0); their
+    # resolvents are the orthogonal projections onto them
+    l1 = ProxOp(lambda y, step: np.array([y[0], 0.0]))
+    l2 = ProxOp(lambda y, step: np.array([0.0, 1.0]) + 0.5 * (y[0] + y[1] - 1.0) * np.ones(2))
     z = np.array([2.0, 3.0])
     for _ in range(2000):
         z, x1, x2 = dr_step(z, l1, l2, 1.0)

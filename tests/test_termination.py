@@ -161,12 +161,22 @@ def test_zero_budget_raises_parameter_error(name):
         ZERO_BUDGET_RUNS[name]()
 
 
+# every budget, sample count and block dimension is checked by check_budget
 BUDGET_ENTRY_POINTS = {
     "mt_solve": ("max_iter", lambda budget: mt_solve([ZeroOp(), ZeroOp()], dim=1,
                                                      max_iter=budget)),
     "run_protocol": ("rounds", lambda budget: run_protocol(
         make_nodes(gen_consensus(3, 1).operators(), np.zeros((2, 1))), 0.9, budget
     )),
+    "averagedness_sample": ("pairs", lambda budget: averagedness_sample(
+        lambda z: z, 0.5, Prng(0), 1, 1, budget)),
+    "mt_solve dim": ("dim", lambda dim: mt_solve(gen_consensus(3, 1).operators(), dim=dim)),
+    "pr_solve dim": ("dim", lambda dim: pr_solve(gen_consensus(3, 1).operators(), dim=dim)),
+    "ryu3_solve dim": ("dim", lambda dim: ryu3_solve(gen_consensus(3, 1).operators(), dim=dim)),
+    "product_dr_solve dim": ("dim", lambda dim: product_dr_solve(
+        gen_consensus(3, 1).operators(), dim=dim)),
+    "solve_scheme dim": ("dim", lambda dim: solve_scheme(
+        mt_scheme(3), gen_consensus(3, 1).operators(), dim=dim)),
 }
 
 
