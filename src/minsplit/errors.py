@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a count."""
+
+import numbers
 
 
 class MinsplitError(Exception):
@@ -43,3 +45,11 @@ class SchemeParseError(MinsplitError, ValueError):
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def check_budget(value, name):
+    """Raise :class:`ParameterError` naming ``name`` unless ``value`` is an integer >= 1."""
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ParameterError(f"{name} must be >= 1, got {value}")

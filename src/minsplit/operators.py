@@ -110,8 +110,8 @@ class PartialMatrix:
 class MonotoneOp:
     """Base class: a maximally monotone operator accessed via its resolvent.
 
-    Subclasses must implement :meth:`resolvent`; the solvers use no other interface,
-    except a pure-float ``resolvent_scalar`` on one-entry operators (on any ``ZeroOp``).
+    Subclasses must implement :meth:`resolvent`; the solvers use no other interface except
+    its optional pure-float forms: ``resolvent_scalar``, and ``entry_resolvents(dim)`` per entry.
     """
 
     def resolvent(self, y, step=1.0):
@@ -119,7 +119,7 @@ class MonotoneOp:
 
 
 class ZeroOp(MonotoneOp):
-    """The zero operator; its resolvent is the identity."""
+    """The zero operator; its resolvent is the identity, entry by entry at any ``dim``."""
 
     def resolvent(self, y, step=1.0):
         return np.asarray(y, dtype=np.float64).copy()
@@ -127,9 +127,13 @@ class ZeroOp(MonotoneOp):
     def resolvent_scalar(self, y, step=1.0):
         return y
 
+    def entry_resolvents(self, dim):
+        return [self.resolvent_scalar] * dim
+
 
 class AbsValue(MonotoneOp):
-    """Subdifferential of ``|. - c|``, componentwise; ``resolvent_scalar`` for one-entry ``c``."""
+    """Subdifferential of ``|. - c|``, componentwise; ``resolvent_scalar`` for one-entry ``c``,
+    and ``entry_resolvents(len(c))`` for 1-D ``c``, each ``prox_abs`` on one float."""
 
     def __init__(self, c):
         self.c = np.asarray(c, dtype=np.float64)
@@ -142,6 +146,10 @@ class AbsValue(MonotoneOp):
                 and type(step) is float and step > 0):
             return np.array([_prox_abs_float(c, v, step) for c, v in zip(self._floats, y.tolist())])
         return prox_abs(y, self.c, step)
+
+    def entry_resolvents(self, dim):
+        if self._shape == (dim,):
+            return [MethodType(_prox_abs_float, c) for c in self._floats]
 
     def __reduce__(self):  # a method bound to a float does not pickle
         return AbsValue, (self.c,)
@@ -179,7 +187,8 @@ class AffineOp(MonotoneOp):
 
 
 class PointIndicator(MonotoneOp):
-    """Normal cone of ``{p}``; resolvent ``p``, and ``resolvent_scalar`` for one-entry ``p``."""
+    """Normal cone of ``{p}``; resolvent ``p``, and ``resolvent_scalar`` for one-entry ``p``
+    and ``entry_resolvents(len(p))`` for 1-D ``p``."""
 
     def __init__(self, p):
         self.p = np.atleast_1d(np.asarray(p, dtype=np.float64))
@@ -190,6 +199,10 @@ class PointIndicator(MonotoneOp):
         if np.shape(y) != self.p.shape:
             raise ShapeError(f"shapes disagree: y {np.shape(y)}, p {self.p.shape}")
         return self.p.copy()
+
+    def entry_resolvents(self, dim):
+        if self.p.shape == (dim,):
+            return [lambda y, step=1.0, p=p: p for p in self.p.tolist()]
 
     def __reduce__(self):  # the resolvent_scalar lambda does not pickle
         return PointIndicator, (self.p,)

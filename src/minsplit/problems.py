@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_budget
 from .operators import AbsValue, AffineOp
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -96,6 +96,7 @@ class ConsensusInstance:
 
 def gen_consensus(n, seed):
     """Standard-normal targets, deterministic from the seed."""
+    check_budget(n, "n")
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     prng = Prng(seed)
@@ -132,6 +133,8 @@ def gen_rpca(m, n, seed):
     entries satisfy ``observed = low_rank + sparse`` on the mask and are
     zero elsewhere.
     """
+    check_budget(m, "m")
+    check_budget(n, "n")
     if m < 2 or n < 2:
         raise ParameterError(f"need m, n >= 2, got {m}x{n}")
     prng = Prng(seed)
@@ -177,10 +180,8 @@ def gen_affine_monotone(n_ops, dim, seed, moduli=None):
     point ``x*``; the Gram parts make the sum's symmetric part positive
     definite almost surely, so ``x*`` is the unique zero.
     """
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    if n_ops < 1:
-        raise ParameterError(f"n_ops must be >= 1, got {n_ops}")
+    check_budget(dim, "dim")
+    check_budget(n_ops, "n_ops")
     if moduli is None:
         moduli = (0.0,) * n_ops
     if len(moduli) != n_ops:

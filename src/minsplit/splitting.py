@@ -11,15 +11,17 @@ divergent four-operator extension is :func:`minsplit.scheme.ryu4_scheme`.
 Conventions: a lifted point is an ``(n-1, dim)`` array of blocks, resolvent
 outputs are ``(n, dim)``.  The reported residual is ``||z_next - z|| / gamma``,
 which equals the norm of the stacked differences ``x_{i+1} - x_i``.
+A solve sweeps in Python floats when its operators offer ``resolvent_scalar`` at
+``dim = 1``, or ``entry_resolvents(dim)`` with no spread read per sweep (a column at
+a time), else by :func:`mt_step`; the iterates have the same bits on every path.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_budget
 from .problems import Prng
 from .trace import ResidualTrace
 
@@ -84,18 +86,17 @@ def consensus_spread(x):
     # a block of rows against every later row, about 8192 differences at a
     # time: one (n, n, dim) tensor for small inputs, a row at a time for large
     rows = max(1, 8192 // x.size)
-    sq = [((x[i:i + rows, None] - x[None, i + 1:]) ** 2).sum(axis=2).ravel()
+    sq = [_squared_distances(x[i:i + rows], x[i + 1:]).ravel()
           for i in range(0, len(x) - 1, rows)]
     return float(np.sqrt(np.concatenate([[0.0], *sq]).max()))
 
 
-def check_budget(value, name):
-    """Raise :class:`ParameterError` naming ``name`` unless ``value`` is an
-    integer of at least 1, the form of every iteration budget and count."""
-    if not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ParameterError(f"{name} must be >= 1, got {value}")
+def _squared_distances(a, b):
+    # ((a[:, None] - b[None]) ** 2).sum(axis=2): numpy sums up to 7 entries of a row
+    # left to right, so below 8 columns summing a column at a time keeps its bits
+    if a.shape[1] > 7:
+        return ((a[:, None] - b[None]) ** 2).sum(axis=2)
+    return sum((a[:, j, None] - b[None, :, j]) ** 2 for j in range(a.shape[1]))
 
 
 def iterate(step, trace, max_iter, stop, watch="residual"):
@@ -243,6 +244,37 @@ def _scalar_sweeps(ops, gamma, z0, spread):
     return step, lambda: (np.asarray(z)[:, None], np.asarray(x)[:, None], np.array(x[:1]))
 
 
+def _column_sweeps(ops, gamma, z):
+    # _scalar_sweeps' one pass per column j, through each op's resolvent of entry j (None
+    # unless all offer dim); C-ordered blocks make the residual sum in the array order
+    entries = [getattr(op, "entry_resolvents", lambda dim: None)(z.shape[1]) for op in ops]
+    if not all(len(e or ()) == z.shape[1] for e in entries):
+        return None
+    columns = [(col[0], list(enumerate(col[1:], 1))) for col in zip(*entries)]
+    zc = z.T.tolist()
+    xc = [None] * len(columns)
+    exact = gamma == 1.0
+
+    def step():
+        nonlocal z
+        for j, (first, chain) in enumerate(columns):
+            zs = zc[j]
+            xp, zp = first(zs[0]), zs[0]
+            xs, z_next = [xp], []
+            zs.append(xp)  # operator n leads with x[0] where the others read z[i]
+            for i, res in chain:
+                zi = zs[i]
+                xi = res(zi + (xp - zp))
+                xs.append(xi)
+                z_next.append(xi + (zp - xp) if exact else zp + gamma * (xi - xp))
+                xp, zp = xi, zi
+            zc[j], xc[j] = z_next, xs
+        z_prev, z = z, np.array(zc).T.copy()
+        return {"residual": _norm(z - z_prev) / gamma}
+
+    return step, lambda: (z, np.array(xc).T.copy(), np.array([xs[0] for xs in xc]))
+
+
 def _sweeps(sweep, z, gamma, solution=lambda z, x: x[0].copy(), spread=False):
     # step/final pair for an array map ``sweep(z) -> (z_next, x)``
     x = None
@@ -266,6 +298,8 @@ def _split_solve(ops, gamma, z0, tol, max_iter, dim, stop="residual"):
     spread = stop == "spread"
     if z.shape[1] == 1 and all(hasattr(op, "resolvent_scalar") for op in ops):
         step, final = _scalar_sweeps(ops, gamma, z, spread)
+    elif not spread and (sweeps := _column_sweeps(ops, gamma, z)):
+        step, final = sweeps
     else:
         step, final = _sweeps(lambda z: mt_step(z, ops, gamma), z, gamma, spread=spread)
     return _solve_report(step, max_iter, tol, final, stop)
@@ -351,10 +385,12 @@ def product_dr_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=Non
     applies the blockwise resolvents, and relaxes by ``gamma`` in (0, 1].
     Uses ``n`` lifted blocks; for ``n = 1`` it is the relaxed proximal point
     algorithm.  The solution estimate is the blockwise mean of the lifted
-    point.
+    point.  Raises :class:`ParameterError` for an empty operator list.
     """
     _check_gamma(gamma)
     n = len(ops)
+    if n < 1:
+        raise ParameterError(f"need at least 1 operator, got {n}")
     z = _lifted(z0, n, dim)
     x = np.empty_like(z)
 

@@ -159,6 +159,23 @@ def test_point_indicator_resolvent_scalar_exists_for_one_entry_points_only(p, sc
         assert op.resolvent(y, 0.5).tobytes() == op.p.tobytes()
 
 
+@pytest.mark.parametrize("op, dim, offered", [
+    (AbsValue([0.3, -1.0]), 2, True), (AbsValue([0.3, -1.0]), 3, False),
+    (AbsValue([-0.0]), 1, True), (AbsValue(0.3), 2, False), (AbsValue(np.zeros((1, 2))), 2, False),
+    (PointIndicator([0.3, -0.0]), 2, True), (PointIndicator([0.3, -0.0]), 1, False),
+    (PointIndicator(np.zeros((1, 2))), 2, False), (ZeroOp(), 5, True)])
+def test_entry_resolvents_are_offered_at_the_operators_own_length_only(op, dim, offered):
+    # the solvers' column path needs exactly dim of them; entry j has the resolvent's bits
+    for op in (op, pickle.loads(pickle.dumps(op))):
+        entries = op.entry_resolvents(dim)
+        assert (entries is not None) is offered
+        if offered:
+            y = np.array([-0.0, 7.5, -2.0, 0.25, math.inf][:dim])
+            want = op.resolvent(y).tolist()
+            assert len(entries) == dim
+            assert all(_same_bits(f(v), w) for f, v, w in zip(entries, y.tolist(), want))
+
+
 @pytest.mark.parametrize("p, y", [
     ([1.0, 2.0], np.ones(1)), ([1.0], np.ones(2)), ([1.0, 2.0], np.ones((1, 2))),
     ([1.0], 3.0), ([1.0, 2.0], [1.0])])

@@ -34,7 +34,13 @@ from minsplit import (
     ryu4_scheme,
 )
 from minsplit.errors import ParameterError, ShapeError
-from minsplit.splitting import _norm, _solve_report, _split_solve, averagedness_sample
+from minsplit.splitting import (
+    _column_sweeps,
+    _norm,
+    _solve_report,
+    _split_solve,
+    averagedness_sample,
+)
 
 from conftest import affine_ops, count_calls
 
@@ -127,6 +133,18 @@ def test_consensus_spread_equals_the_difference_tensor_bit_for_bit(rng, shape):
     x = 10.0 * rng.standard_normal(shape)
     diffs = x[:, None, :] - x[None, :, :]
     assert consensus_spread(x) == float(np.sqrt((diffs**2).sum(axis=2)).max())
+
+
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_consensus_spread_equals_the_difference_tensor_at_any_magnitude(n, seed):
+    # the column-at-a-time sum below 8 entries against numpy's sum over the last axis,
+    # at every dim 1..12, with normal mantissas times 1e-20 to 1e20
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((n, 12)) * 10.0 ** rng.integers(-20, 21, (n, 12))
+    for dim in range(1, 13):
+        x = blocks[:, :dim]
+        diffs = x[:, None, :] - x[None, :, :]
+        assert consensus_spread(x) == float(np.sqrt((diffs**2).sum(axis=2).max())), dim
 
 
 def test_residual_equals_stencil_norm(rng):
@@ -578,6 +596,8 @@ def test_stop_at_tol_rejects_nan():
 class CountingOp(MonotoneOp):
     """Counts the array resolvent calls of a wrapped operator."""
 
+    entry_calls = ()
+
     def __init__(self, op):
         self.op, self.array_calls, self.scalar_calls = op, 0, 0
 
@@ -594,6 +614,21 @@ class CountingScalarOp(CountingOp):
         return self.op.resolvent_scalar(y, step)
 
 
+class CountingEntryOp(CountingScalarOp):
+    """:class:`CountingScalarOp` that also offers ``entry_resolvents``, counting per entry."""
+
+    def entry_resolvents(self, dim):
+        self.entry_calls = [0] * dim
+
+        def counted(j, res):
+            def call(y, step=1.0):
+                self.entry_calls[j] += 1
+                return res(y, step)
+            return call
+
+        return [counted(j, res) for j, res in enumerate(self.op.entry_resolvents(dim))]
+
+
 CALL_SOLVES = {
     "mt_solve": lambda ops, dim: mt_solve(ops, gamma=0.9, dim=dim, tol=1e-8, max_iter=300),
     "pr_solve": lambda ops, dim: pr_solve(ops, dim=dim, tol=1e-8, max_iter=300),
@@ -602,20 +637,25 @@ CALL_SOLVES = {
 
 @pytest.mark.parametrize("name", sorted(CALL_SOLVES))
 @pytest.mark.parametrize("n", [2, 3, 10])
-@pytest.mark.parametrize("path", ["float", "array dim 2", "array one op without scalar"])
+@pytest.mark.parametrize("path", ["float", "array dim 2", "array one op without scalar",
+                                  "column dim 2"])
 def test_one_resolvent_call_per_operator_per_sweep(name, n, path):
     rng = np.random.default_rng(n)
-    dim = 2 if path == "array dim 2" else 1
-    ops = [CountingScalarOp(AbsValue(rng.standard_normal(dim))) for _ in range(n)]
+    dim = 2 if path.endswith("dim 2") else 1
+    wrap = CountingEntryOp if path == "column dim 2" else CountingScalarOp
+    ops = [wrap(AbsValue(rng.standard_normal(dim))) for _ in range(n)]
     if path == "array one op without scalar":
         ops[n // 2] = CountingOp(ops[n // 2].op)
     report = CALL_SOLVES[name](ops, dim)
-    assert 1 <= report.iterations <= 300
+    k = report.iterations
+    assert 1 <= k <= 300
     for op in ops:
         if path == "float":
-            assert (op.scalar_calls, op.array_calls) == (report.iterations, 0)
-        else:
-            assert (op.scalar_calls, op.array_calls) == (0, report.iterations)
+            assert (op.scalar_calls, op.array_calls) == (k, 0)
+        elif path == "column dim 2" and name == "mt_solve":
+            assert (op.entry_calls, op.scalar_calls, op.array_calls) == ([k] * dim, 0, 0)
+        else:  # pr_solve stops on the spread, which only the array path computes per sweep
+            assert (sum(op.entry_calls), op.scalar_calls, op.array_calls) == (0, 0, k)
 
 
 # ---------------------------------------------------------------------------
@@ -699,4 +739,45 @@ def test_one_pass_scalar_sweep_equals_three_pass_reference(case, gamma, spread, 
         got = _split_solve(ops, gamma, z0, tol, max_iter, None, stop)
         step, final = three_pass_scalar_sweeps(_float_ops(kinds, centres), gamma, z0, spread)
         want = _solve_report(step, max_iter, tol, final, stop)
+    assert _solve_bits(got) == _solve_bits(want)
+
+
+# ---------------------------------------------------------------------------
+# the per-column pure-float sweep against the array sweep
+
+
+def _entry_ops(kinds, centres):
+    make = {"abs": AbsValue, "zero": lambda c: ZeroOp(), "point": PointIndicator}
+    return [make[k](c) for k, c in zip(kinds, centres)]
+
+
+@st.composite
+def column_sweep_cases(draw):
+    n, dim = draw(st.integers(2, 40)), draw(st.integers(2, 6))
+    kinds = draw(st.lists(st.sampled_from(["abs", "abs", "zero", "point"]), min_size=n, max_size=n))
+    centres = draw(hnp.arrays(np.float64, (n, dim), elements=SIGNED_FLOATS))
+    z0 = draw(hnp.arrays(np.float64, (n - 1, dim), elements=SIGNED_FLOATS))
+    bad = draw(st.one_of(st.none(), st.tuples(st.integers(0, n - 2), st.integers(0, dim - 1),
+                                              st.sampled_from([math.inf, -math.inf, math.nan]))))
+    if bad is not None:
+        z0[bad[:2]] = bad[2]
+    return kinds, centres, z0
+
+
+@given(case=column_sweep_cases(),
+       gamma=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+       tol=st.sampled_from([0.0, 1e-8]), max_iter=st.integers(1, 60))
+@example(case=(["abs"] * 10, np.arange(30.0).reshape(10, 3) % 7.0, np.zeros((9, 3))),
+         gamma=0.9, tol=1e-8, max_iter=60)
+@example(case=(["abs", "zero", "point"], np.array([[0.5, -0.0], [0.0, 0.0], [-0.0, 2.0]]),
+               np.array([[-0.0, 0.0], [0.0, math.nan]])),
+         gamma=1.0, tol=0.0, max_iter=20)
+def test_column_sweep_equals_the_array_sweep(case, gamma, tol, max_iter):
+    # CountingOp offers no entry resolvents, so the reference takes the array path
+    kinds, centres, z0 = case
+    ops = _entry_ops(kinds, centres)
+    assert _column_sweeps(ops, gamma, z0) is not None
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _split_solve(ops, gamma, z0, tol, max_iter, None)
+        want = _split_solve([CountingOp(op) for op in ops], gamma, z0, tol, max_iter, None)
     assert _solve_bits(got) == _solve_bits(want)

@@ -1,6 +1,7 @@
 """How solves end: the shared fixed-point driver, non-finite runs and zero budgets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from minsplit import (
     averagedness_check,
     cycle_laplacian,
     eval_scheme,
+    gen_affine_monotone,
     gen_consensus,
     gen_rpca,
     identity_prox_block,
@@ -161,7 +163,7 @@ def test_zero_budget_raises_parameter_error(name):
         ZERO_BUDGET_RUNS[name]()
 
 
-# every budget, sample count and block dimension is checked by check_budget
+# every budget, count and block dimension is checked by check_budget
 BUDGET_ENTRY_POINTS = {
     "mt_solve": ("max_iter", lambda budget: mt_solve([ZeroOp(), ZeroOp()], dim=1,
                                                      max_iter=budget)),
@@ -177,6 +179,11 @@ BUDGET_ENTRY_POINTS = {
         gen_consensus(3, 1).operators(), dim=dim)),
     "solve_scheme dim": ("dim", lambda dim: solve_scheme(
         mt_scheme(3), gen_consensus(3, 1).operators(), dim=dim)),
+    "gen_consensus n": ("n", lambda n: gen_consensus(n, 1)),
+    "gen_rpca m": ("m", lambda m: gen_rpca(m, 6, 1)),
+    "gen_rpca n": ("n", lambda n: gen_rpca(6, n, 1)),
+    "gen_affine_monotone n_ops": ("n_ops", lambda n_ops: gen_affine_monotone(n_ops, 2, 1)),
+    "gen_affine_monotone dim": ("dim", lambda dim: gen_affine_monotone(3, dim, 1)),
 }
 
 
@@ -194,10 +201,29 @@ def test_bad_budget_is_a_named_parameter_error(entry, budget, message):
     assert str(err.value) == f"{name} {message}"
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda: gen_consensus(1, 1), "need n >= 2, got 1"),
+    (lambda: gen_rpca(1, 6, 1), "need m, n >= 2, got 1x6"),
+    (lambda: gen_rpca(6, 1, 1), "need m, n >= 2, got 6x1"),
+], ids=["gen_consensus", "gen_rpca m", "gen_rpca n"])
+def test_generators_keep_their_two_entry_minimum(run, message):
+    with pytest.raises(ParameterError) as err:
+        run()
+    assert str(err.value) == message
+
+
+def test_product_dr_solve_needs_an_operator_before_any_numpy_call():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="need at least 1 operator, got 0"):
+            product_dr_solve([], dim=1)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("solve", [mt_solve, pr_solve])
 def test_split_solve_needs_two_operators_on_both_paths(solve, dim):
-    # dim=1 takes the pure-float path, dim=2 the array path
+    # checked before a sweep is chosen: at dim=1 a ZeroOp would take the pure-float
+    # path, at dim=2 the column path under mt_solve and the array path under pr_solve
     with pytest.raises(ParameterError, match="need at least 2 operators, got 1"):
         solve([ZeroOp()], dim=dim)
 
