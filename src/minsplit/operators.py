@@ -111,7 +111,8 @@ class MonotoneOp:
     """Base class: a maximally monotone operator accessed via its resolvent.
 
     Subclasses must implement :meth:`resolvent`; the solvers use no other interface except
-    its optional pure-float forms: ``resolvent_scalar``, and ``entry_resolvents(dim)`` per entry.
+    its optional pure-float forms, which only :class:`AbsValue` offers: ``resolvent_scalar``,
+    and ``entry_resolvents(dim)`` per entry.
     """
 
     def resolvent(self, y, step=1.0):
@@ -119,16 +120,10 @@ class MonotoneOp:
 
 
 class ZeroOp(MonotoneOp):
-    """The zero operator; its resolvent is the identity, entry by entry at any ``dim``."""
+    """The zero operator; its resolvent is the identity."""
 
     def resolvent(self, y, step=1.0):
         return np.asarray(y, dtype=np.float64).copy()
-
-    def resolvent_scalar(self, y, step=1.0):
-        return y
-
-    def entry_resolvents(self, dim):
-        return [self.resolvent_scalar] * dim
 
 
 class AbsValue(MonotoneOp):
@@ -187,25 +182,15 @@ class AffineOp(MonotoneOp):
 
 
 class PointIndicator(MonotoneOp):
-    """Normal cone of ``{p}``; resolvent ``p``, and ``resolvent_scalar`` for one-entry ``p``
-    and ``entry_resolvents(len(p))`` for 1-D ``p``."""
+    """Normal cone of ``{p}``; its resolvent is the constant ``p``."""
 
     def __init__(self, p):
         self.p = np.atleast_1d(np.asarray(p, dtype=np.float64))
-        if self.p.size == 1:
-            self.resolvent_scalar = lambda y, step=1.0, p=self.p.item(): p
 
     def resolvent(self, y, step=1.0):
         if np.shape(y) != self.p.shape:
             raise ShapeError(f"shapes disagree: y {np.shape(y)}, p {self.p.shape}")
         return self.p.copy()
-
-    def entry_resolvents(self, dim):
-        if self.p.shape == (dim,):
-            return [lambda y, step=1.0, p=p: p for p in self.p.tolist()]
-
-    def __reduce__(self):  # the resolvent_scalar lambda does not pickle
-        return PointIndicator, (self.p,)
 
 
 class ProxOp(MonotoneOp):

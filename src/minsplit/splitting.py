@@ -11,9 +11,10 @@ divergent four-operator extension is :func:`minsplit.scheme.ryu4_scheme`.
 Conventions: a lifted point is an ``(n-1, dim)`` array of blocks, resolvent
 outputs are ``(n, dim)``.  The reported residual is ``||z_next - z|| / gamma``,
 which equals the norm of the stacked differences ``x_{i+1} - x_i``.
-A solve sweeps in Python floats when its operators offer ``resolvent_scalar`` at
-``dim = 1``, or ``entry_resolvents(dim)`` with no spread read per sweep (a column at
-a time), else by :func:`mt_step`; the iterates have the same bits on every path.
+A solve whose stop reads the residual sweeps in Python floats when its operators
+offer ``resolvent_scalar`` at ``dim = 1``, or ``entry_resolvents(dim)`` (a column at
+a time), else by :func:`mt_step`, as :func:`pr_solve` always does; every non-NaN
+value of the iterates is the same on every path.
 """
 
 import math
@@ -174,8 +175,8 @@ def _lifted(z, blocks, dim, name="z"):
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 1:
         z = z[:, None]
-    if z.ndim != 2 or z.shape[0] != blocks:
-        raise ShapeError(f"{name} must have {blocks} blocks, got shape {z.shape}")
+    if z.ndim != 2 or z.shape[0] != blocks or z.shape[1] == 0:
+        raise ShapeError(f"{name} must have {blocks} nonempty blocks, got shape {z.shape}")
     return z
 
 
@@ -210,10 +211,11 @@ def mt_step(z, ops, gamma):
     return relaxed_update(z, x[1:], x[:-1], gamma), x
 
 
-def _scalar_sweeps(ops, gamma, z0, spread):
+def _scalar_sweeps(ops, gamma, z0):
     # Pure-float mirror of mt_step in one pass: as resolvent i returns, block i-1
-    # is relaxed and its squared change summed, with mt_step's IEEE operations
-    # in its order, so the values match the array path and the network exactly.
+    # is relaxed with mt_step's IEEE operations in its order, so z and x match
+    # mt_step and the network exactly.  The squared changes are summed left to right
+    # as they come, which the consensus CSVs pin; _norm's sum can differ in the last bit.
     n = len(ops)
     z = [float(v) for v in z0[:, 0]]
     x = [0.0] * n
@@ -236,10 +238,7 @@ def _scalar_sweeps(ops, gamma, z0, spread):
             sq += d * d
             xp, zp = xi, zi
         z = z_next
-        row = {"residual": math.sqrt(sq) / gamma}
-        if spread:
-            row["spread"] = max(x) - min(x)
-        return row
+        return {"residual": math.sqrt(sq) / gamma}
 
     return step, lambda: (np.asarray(z)[:, None], np.asarray(x)[:, None], np.array(x[:1]))
 
@@ -294,14 +293,14 @@ def _sweeps(sweep, z, gamma, solution=lambda z, x: x[0].copy(), spread=False):
 def _split_solve(ops, gamma, z0, tol, max_iter, dim, stop="residual"):
     if len(ops) < 2:
         raise ParameterError(f"need at least 2 operators, got {len(ops)}")
-    z = _lifted(z0, len(ops) - 1, dim)
-    spread = stop == "spread"
-    if z.shape[1] == 1 and all(hasattr(op, "resolvent_scalar") for op in ops):
-        step, final = _scalar_sweeps(ops, gamma, z, spread)
-    elif not spread and (sweeps := _column_sweeps(ops, gamma, z)):
-        step, final = sweeps
+    z = _lifted(z0, len(ops) - 1, dim, "z0")
+    if stop == "spread":
+        step, final = _sweeps(lambda z: mt_step(z, ops, gamma), z, gamma, spread=True)
+    elif z.shape[1] == 1 and all(hasattr(op, "resolvent_scalar") for op in ops):
+        step, final = _scalar_sweeps(ops, gamma, z)
     else:
-        step, final = _sweeps(lambda z: mt_step(z, ops, gamma), z, gamma, spread=spread)
+        step, final = _column_sweeps(ops, gamma, z) or _sweeps(
+            lambda z: mt_step(z, ops, gamma), z, gamma)
     return _solve_report(step, max_iter, tol, final, stop)
 
 
@@ -374,7 +373,7 @@ def ryu3_step(z, ops, gamma):
 
 def ryu3_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=None):
     """Iterate :func:`ryu3_step`; reporting mirrors :func:`mt_solve`."""
-    step, final = _sweeps(lambda z: ryu3_step(z, ops, gamma), _lifted(z0, 2, dim), gamma)
+    step, final = _sweeps(lambda z: ryu3_step(z, ops, gamma), _lifted(z0, 2, dim, "z0"), gamma)
     return _solve_report(step, max_iter, tol, final)
 
 
@@ -391,7 +390,7 @@ def product_dr_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=Non
     n = len(ops)
     if n < 1:
         raise ParameterError(f"need at least 1 operator, got {n}")
-    z = _lifted(z0, n, dim)
+    z = _lifted(z0, n, dim, "z0")
     x = np.empty_like(z)
 
     def sweep(z):

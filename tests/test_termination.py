@@ -38,12 +38,13 @@ from minsplit import (
     solve_scheme,
 )
 from minsplit.cli import main
-from minsplit.errors import ParameterError
+from minsplit.errors import ParameterError, ShapeError
 from minsplit.splitting import DIVERGENCE_CAP, averagedness_sample, iterate
 
 
 class NanOp(MonotoneOp):
-    """A broken resolvent that returns NaN, on the array and the scalar path."""
+    """A broken resolvent that returns NaN, on the array path and through
+    ``resolvent_scalar`` on the pure-float path ``mt_solve`` takes at ``dim = 1``."""
 
     def resolvent(self, y, step=1.0):
         return np.full_like(np.asarray(y, dtype=np.float64), np.nan)
@@ -53,7 +54,8 @@ class NanOp(MonotoneOp):
 
 
 def nan_ops(n):
-    return [ZeroOp()] + [NanOp()] + [ZeroOp() for _ in range(n - 2)]
+    # a scalar-centred AbsValue offers resolvent_scalar and takes any dim on the array path
+    return [AbsValue(0.0)] + [NanOp()] + [AbsValue(0.0) for _ in range(n - 2)]
 
 
 def nan_admm_problem():
@@ -222,10 +224,42 @@ def test_product_dr_solve_needs_an_operator_before_any_numpy_call():
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("solve", [mt_solve, pr_solve])
 def test_split_solve_needs_two_operators_on_both_paths(solve, dim):
-    # checked before a sweep is chosen: at dim=1 a ZeroOp would take the pure-float
-    # path, at dim=2 the column path under mt_solve and the array path under pr_solve
+    # checked before a sweep is chosen: under mt_solve this AbsValue would take the
+    # pure-float path at dim=1 and the column path at dim=2; pr_solve always sweeps arrays
     with pytest.raises(ParameterError, match="need at least 2 operators, got 1"):
-        solve([ZeroOp()], dim=dim)
+        solve([AbsValue(np.zeros(dim))], dim=dim)
+
+
+ZERO_WIDTH_ENTRY_POINTS = {  # the lifted point's name and block count, and a call with it
+    "mt_step": ("z", 2, lambda ops, z: mt_step(z, ops, 0.9)),
+    "mt_solve": ("z0", 2, lambda ops, z: mt_solve(ops, z0=z)),
+    "pr_solve": ("z0", 2, lambda ops, z: pr_solve(ops, z0=z)),
+    "ryu3_solve": ("z0", 2, lambda ops, z: ryu3_solve(ops, z0=z)),
+    "product_dr_solve": ("z0", 3, lambda ops, z: product_dr_solve(ops, z0=z)),
+    "make_nodes": ("z0", 2, lambda ops, z: make_nodes(ops, z)),
+    "solve_scheme": ("z0", 2, lambda ops, z: solve_scheme(mt_scheme(3), ops, z0=z)),
+}
+
+
+@pytest.mark.parametrize("kind", ["zero", "affine"])
+@pytest.mark.parametrize("entry", sorted(ZERO_WIDTH_ENTRY_POINTS))
+def test_zero_width_lifted_point_is_a_named_shape_error(entry, kind):
+    # blocks of no entries, rejected as dim=0 is: not an IndexError, a TypeError, a
+    # ZeroDivisionError in the spread, or a silently accepted (and "converged") run
+    ops = [ZeroOp()] * 3 if kind == "zero" else gen_affine_monotone(3, 2, 0).operators()
+    name, blocks, run = ZERO_WIDTH_ENTRY_POINTS[entry]
+    with pytest.raises(ShapeError) as err:
+        run(ops, np.zeros((blocks, 0)))
+    assert str(err.value) == f"{name} must have {blocks} nonempty blocks, got shape ({blocks}, 0)"
+
+
+def test_pr_solve_reports_a_nan_spread_when_an_output_is_nan():
+    # Python's max and min skip a NaN, which let a pure-float spread read 0.5 here
+    ops = [AbsValue([0.0]) for _ in range(4)]
+    report = pr_solve(ops, z0=[[1.5], [-0.0], [math.nan]], tol=0, max_iter=5)
+    assert _report(report) == (1, False, True)
+    assert math.isnan(report.consensus_spread)
+    assert math.isnan(report.trace.last("spread"))
 
 
 def test_averagedness_check_needs_a_sample():
