@@ -16,10 +16,9 @@ the same primitive grouping as :func:`minsplit.splitting.mt_step`, so the
 concatenated owned blocks reproduce the centralised iterates exactly, not
 merely to tolerance.
 
-The scheduler is synchronous and reliable.  Each round posts its messages
-into fixed slots, one per sender and kind, so no message outlives the round
-that sent it.  A node takes its lead from its neighbour's slot and uses the
-X body its predecessor has just sent as its ``x_prev``.
+The scheduler is synchronous and reliable.  Each round keeps one body per
+link (sender, receiver and kind), so no message outlives its round.  A node
+reads its lead off a link and uses its predecessor's X body as ``x_prev``.
 """
 
 from dataclasses import dataclass, field
@@ -96,35 +95,29 @@ def gathered_z(nodes):
 
 
 class _Mailbox:
-    """One round's messages in fixed slots, one per sender and kind."""
+    """One round's bodies, one per ``(sender, receiver, kind)`` link.  At ``n = 2``
+    node 1's two X messages share one link: the later body replaces the earlier,
+    both hold the same bits, and the log keeps both messages."""
 
     def __init__(self, n, log):
-        self.n, self.adjacent = n, (1, n - 1)
-        self.round_index, self.record = log.round_index, log.messages.append
-        self.slots = {Z_PASS: [()] * (n + 1), X_PASS: [()] * (n + 1)}
+        self.n, self.log, self.bodies = n, log, {}
 
     def send(self, from_node, to_node, kind, body):
         """Post and log a private copy of ``body``; returns that copy."""
-        if (to_node - from_node) % self.n not in self.adjacent:
+        if (to_node - from_node) % self.n not in (1, self.n - 1):
             raise ProtocolError(f"node {from_node} may not message node {to_node} on the cycle")
         # tuple.__new__ makes the same Message without namedtuple's Python-level __new__
-        msg = tuple.__new__(Message, (from_node, to_node, kind, body.copy(), self.round_index))
-        self.record(msg)
-        self.slots[kind][from_node] += (msg,)
+        msg = tuple.__new__(Message, (from_node, to_node, kind, body.copy(), self.log.round_index))
+        self.log.messages.append(msg)
+        self.bodies[from_node, to_node, kind] = msg.body
         return msg.body
 
     def receive(self, to_node, from_node, kind):
-        """Take the first body in the sender's slot addressed to ``to_node``."""
-        slot = self.slots[kind]
-        held = slot[from_node]
-        if held and held[0].to_node == to_node:  # all but node n's read of node 1
-            slot[from_node] = held[1:]
-            return held[0].body
-        for j in range(1, len(held)):
-            if held[j].to_node == to_node:
-                slot[from_node] = held[:j] + held[j + 1:]
-                return held[j].body
-        raise ProtocolError(f"node {to_node} expected a {kind} message from node {from_node}")
+        """Take the body on the link from ``from_node`` to ``to_node``."""
+        body = self.bodies.pop((from_node, to_node, kind), None)
+        if body is None:
+            raise ProtocolError(f"node {to_node} expected a {kind} message from node {from_node}")
+        return body
 
 
 def run_round(nodes, gamma, round_index):
@@ -133,6 +126,7 @@ def run_round(nodes, gamma, round_index):
     Returns a :class:`RoundLog`; raises :class:`ProtocolError` on
     uninitialised node state or adjacency violations.
     """
+    _check_blocks(nodes)
     return _round(nodes, gamma, round_index)[0]
 
 
@@ -144,7 +138,6 @@ def _round(nodes, gamma, round_index):
     mail = _Mailbox(n, log)
     send, receive = mail.send, mail.receive
     # step 1: owned blocks travel to the predecessor
-    _check_blocks(nodes)
     for node in nodes[1:]:
         send(node.node_id, node.node_id - 1, Z_PASS, node.owned_z)
     # step 2: node 1 applies its resolvent and sends to both neighbours

@@ -105,6 +105,7 @@ def gen_consensus(n, seed):
 
 def cycle_laplacian(n):
     """Graph Laplacian of the n-cycle: 2 on the diagonal, -1 between neighbours."""
+    check_budget(n, "n")
     if n < 3:
         raise ParameterError(f"cycle graph needs n >= 3 nodes, got {n}")
     lap = 2.0 * np.eye(n)

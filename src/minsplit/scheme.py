@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAFixedPointError, ParameterError, SchemeParseError, ShapeError
+from .errors import NotAFixedPointError, ParameterError, SchemeParseError, ShapeError, check_budget
 from .splitting import _lifted, _sweeps, consensus_spread, iterate, stop_at_tol
 from .trace import write_rows
 
@@ -79,6 +79,7 @@ def mt_scheme(n, gamma=1.0):
     A finite ``gamma`` is folded into ``Tx``; ``gamma = 1`` gives the
     unrelaxed map (for ``n = 2`` this is the Douglas-Rachford operator).
     """
+    check_budget(n, "n")
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     d = n - 1

@@ -172,7 +172,10 @@ def _lifted(z, blocks, dim, name="z"):
             raise ParameterError(f"provide {name} or dim")
         check_budget(dim, "dim")
         return np.zeros((blocks, dim))
-    z = np.asarray(z, dtype=np.float64)
+    try:
+        z = np.asarray(z, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a numeric array, got {z!r}") from None
     if z.ndim == 1:
         z = z[:, None]
     if z.ndim != 2 or z.shape[0] != blocks or z.shape[1] == 0:
@@ -419,11 +422,13 @@ def averagedness_sample(update, gamma, prng, blocks, dim, pairs):
     which must be nonpositive up to roundoff when ``T`` is averaged.  A
     non-finite slack ends the sampling, with ``prng`` just past that pair,
     and returns ``inf``.  ``gamma`` in ``(0, 1]`` with ``(1-gamma)/gamma`` finite;
-    ``pairs`` must pass :func:`check_budget`.
+    ``blocks``, ``dim`` and ``pairs`` must pass :func:`check_budget`.
     """
     if not (gamma > 0 and math.isfinite((1.0 - gamma) / gamma)):
         raise ParameterError(f"gamma must be positive with (1-gamma)/gamma finite, got {gamma}")
     _check_gamma(gamma)
+    check_budget(blocks, "blocks")
+    check_budget(dim, "dim")
     check_budget(pairs, "pairs")
     shrink = (1.0 - gamma) / gamma
     words = (blocks * dim + 1) // 2 * 2  # raw words behind one drawn point

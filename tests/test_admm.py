@@ -217,6 +217,25 @@ def test_dual_reconstruction_consistency():
     assert np.linalg.norm(rep.duals[0] - x_star) <= 1e-6
 
 
+def test_auglag_solve_seeded_by_averaged_to_auglag_tracks_the_averaged_form():
+    # the rpca workload's start: the seeded run's sweep k gives the averaged form's
+    # w at sweep k + 1; unseeded, the same run starts from zero multipliers
+    inst = gen_rpca(10, 10, 3)
+    p = rpca_problem(PartialMatrix(values=inst.observed, mask=inst.omega), 0.25, 0.1)
+    z0 = np.zeros((p.n - 1, p.b.size))
+
+    def gap(a, b):
+        return max(float(np.max(np.abs(u - v))) for u, v in zip(a.w, b.w))
+
+    for sweeps in range(2, 7):
+        averaged = admm_solve(p, gamma=0.8, tol=0.0, max_iter=sweeps)
+        seeded = admm_solve(p, form="auglag", gamma=0.8, init=averaged_to_auglag(p, z0, 0.8),
+                            tol=0.0, max_iter=sweeps - 1)
+        cold = admm_solve(p, form="auglag", gamma=0.8, tol=0.0, max_iter=sweeps - 1)
+        assert gap(averaged, seeded) <= 1e-10
+        assert gap(averaged, cold) > 1e-2
+
+
 # ---------------------------------------------------------------------------
 # dual operator bridge
 

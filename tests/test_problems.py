@@ -119,6 +119,17 @@ def test_consensus_solver_target_is_median():
     assert lo - 1e-6 <= report.final_x[0] <= hi + 1e-6
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 7, 11])
+def test_median_interval_at_odd_n_is_the_middle_target(n, seed):
+    inst = gen_consensus(n, seed)
+    lo, hi = inst.median_interval()
+    assert lo == hi == np.sort(inst.c)[n // 2]
+    report = mt_solve(inst.operators(), gamma=0.9, tol=1e-10, max_iter=50000, dim=1)
+    assert report.converged
+    assert abs(report.final_x[0] - lo) <= 1e-8
+
+
 def test_consensus_symmetric_targets():
     from minsplit import ConsensusInstance
 

@@ -75,6 +75,12 @@ def _nan_scheme_run():
     return iterations, converged, diverged
 
 
+def _pdhg_start(**kwargs):
+    # steps strictly inside tau*sigma*||L||^2 < 1 whatever ||L|| the SVD returns
+    lap = cycle_laplacian(4)
+    return pdhg_solve(np.zeros(4), lap, *pdhg_stepsizes(op_norm(lap), 1), **kwargs)
+
+
 NON_FINITE_RUNS = {
     "mt_solve-scalar": lambda: _report(mt_solve(nan_ops(3), max_iter=50, dim=1)),
     "mt_solve-array": lambda: _report(mt_solve(nan_ops(3), max_iter=50, dim=2)),
@@ -89,10 +95,7 @@ NON_FINITE_RUNS = {
         admm_solve(nan_admm_problem(), form="auglag", max_iter=50)
     ),
     "solve_scheme": _nan_scheme_run,
-    "pdhg_solve": lambda: _report(
-        pdhg_solve(np.zeros(4), cycle_laplacian(4), 0.25, 0.25, x0=np.full(4, np.nan),
-                   max_iter=50)
-    ),
+    "pdhg_solve": lambda: _report(_pdhg_start(x0=np.full(4, np.nan), max_iter=50)),
 }
 
 
@@ -186,6 +189,12 @@ BUDGET_ENTRY_POINTS = {
     "gen_rpca n": ("n", lambda n: gen_rpca(6, n, 1)),
     "gen_affine_monotone n_ops": ("n_ops", lambda n_ops: gen_affine_monotone(n_ops, 2, 1)),
     "gen_affine_monotone dim": ("dim", lambda dim: gen_affine_monotone(3, dim, 1)),
+    "averagedness_check dim": ("dim", lambda dim: averagedness_check(
+        [ZeroOp(), ZeroOp()], 0.5, 10, dim=dim)),
+    "averagedness_sample blocks": ("blocks", lambda blocks: averagedness_sample(
+        lambda z: z, 0.5, Prng(0), blocks, 1, 10)),
+    "mt_scheme n": ("n", lambda n: mt_scheme(n)),
+    "cycle_laplacian n": ("n", lambda n: cycle_laplacian(n)),
 }
 
 
@@ -207,9 +216,32 @@ def test_bad_budget_is_a_named_parameter_error(entry, budget, message):
     (lambda: gen_consensus(1, 1), "need n >= 2, got 1"),
     (lambda: gen_rpca(1, 6, 1), "need m, n >= 2, got 1x6"),
     (lambda: gen_rpca(6, 1, 1), "need m, n >= 2, got 6x1"),
-], ids=["gen_consensus", "gen_rpca m", "gen_rpca n"])
+    (lambda: mt_scheme(1), "need n >= 2, got 1"),
+    (lambda: cycle_laplacian(2), "cycle graph needs n >= 3 nodes, got 2"),
+], ids=["gen_consensus", "gen_rpca m", "gen_rpca n", "mt_scheme", "cycle_laplacian"])
 def test_generators_keep_their_two_entry_minimum(run, message):
     with pytest.raises(ParameterError) as err:
+        run()
+    assert str(err.value) == message
+
+
+# malformed arguments that numpy used to reject with a bare error: each is named
+NAMED_ERRORS = {
+    "pdhg_solve x0": (ShapeError, lambda: _pdhg_start(x0=np.zeros(3)),
+                      "x0 must have shape (4,), got (3,)"),
+    "pdhg_solve y0": (ShapeError, lambda: _pdhg_start(y0=np.zeros((4, 1))),
+                      "y0 must have shape (4,), got (4, 1)"),
+    "mt_solve z0": (ParameterError, lambda: mt_solve(gen_consensus(3, 1).operators(), z0="abc"),
+                    "z0 must be a numeric array, got 'abc'"),
+    "make_nodes z0": (ParameterError, lambda: make_nodes(gen_consensus(3, 1).operators(), "ab"),
+                      "z0 must be a numeric array, got 'ab'"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAMED_ERRORS))
+def test_malformed_argument_is_a_named_error(entry):
+    error, run, message = NAMED_ERRORS[entry]
+    with pytest.raises(error) as err:
         run()
     assert str(err.value) == message
 
