@@ -574,6 +574,8 @@ def pdhg_solve(c, lap, tau, sigma, x0=None, y0=None, tol=1e-8, max_iter=100000):
     """
     c = linalg.as_vector(c, "c")
     lap = linalg.as_matrix(lap, "lap")
+    if lap.shape != (c.size, c.size):
+        raise ShapeError(f"lap is {lap.shape} but c has length {c.size}")
     if not (tau > 0 and sigma > 0):
         raise ParameterError("tau and sigma must be positive")
     product = tau * sigma * linalg.op_norm(lap) ** 2

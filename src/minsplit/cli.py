@@ -257,9 +257,8 @@ def cmd_verify(args):
     for trial in range(args.trials // 10):
         inst = problems.gen_affine_monotone(sch.n, dim, seed=int(prng.uniforms(1)[0] * 2**31))
         ops = inst.operators()
-        update = scheme.update_map(sch, ops)
         slack = splitting.averagedness_sample(
-            lambda z: update(z)[0], args.gamma, prng, sch.d, dim, 10
+            scheme.image_map(sch, ops), args.gamma, prng, sch.d, dim, 10
         )
         worst_slack = max(worst_slack, slack)
         z_fix, conv, div, _ = scheme.solve_scheme(sch, ops, dim=dim, tol=1e-10,

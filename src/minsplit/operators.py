@@ -112,7 +112,8 @@ class MonotoneOp:
 
     Subclasses must implement :meth:`resolvent`; the solvers use no other interface except
     its optional pure-float forms, which only :class:`AbsValue` offers: ``resolvent_scalar``,
-    and ``entry_resolvents(dim)`` per entry.
+    and ``entry_resolvents(dim)`` per entry; and ``resolvent_rows(ys, step)`` on a ``(k, dim)``
+    stack, which only :class:`AffineOp` offers, for the averagedness sampler's stacked path.
     """
 
     def resolvent(self, y, step=1.0):
@@ -171,14 +172,28 @@ class AffineOp(MonotoneOp):
             )
         self._cache = {}
 
-    def resolvent(self, y, step=1.0):
+    def _inverse(self, step):
         if not step > 0:
             raise ParameterError(f"step must be positive, got {step}")
         if step not in self._cache:
             inv = np.linalg.inv(np.eye(self.m.shape[0]) + step * self.m)
             self._cache[step] = (inv, step * self.c)
-        inv, shift = self._cache[step]
-        return inv @ (np.asarray(y, dtype=np.float64) - shift)
+        return self._cache[step]
+
+    def resolvent(self, y, step=1.0):
+        inv, shift = self._inverse(step)
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != shift.shape:
+            raise ShapeError(f"y must have shape {shift.shape}, got {y.shape}")
+        # ndarray.dot: @'s bits with less dispatch, but -0.0 on two one-entry operands
+        return inv.dot(y - shift) if y.size > 1 else inv @ (y - shift)
+
+    def resolvent_rows(self, ys, step=1.0):
+        """:meth:`resolvent` of each row of a ``(k, dim)`` stack ``ys``, with its bits."""
+        inv, shift = self._inverse(step)
+        if np.shape(ys)[-1:] != shift.shape:
+            raise ShapeError(f"rows must have length {shift.size}, got shape {np.shape(ys)}")
+        return np.matmul(inv, (ys - shift)[..., None])[..., 0]
 
 
 class PointIndicator(MonotoneOp):

@@ -10,7 +10,8 @@ matrices acting blockwise on lifted points:
 * the solution map ``S(z) = Sz z + Sx x``.
 
 This module executes such schemes generically (:func:`update_map` gives
-``T(z)`` and ``x`` alone), certifies their structural identities
+``T(z)`` and ``x`` alone, :func:`image_map` ``T(z)`` alone, also on stacks of
+points), certifies their structural identities
 numerically (kernel residuals of a block matrix, the consensus/averaging
 conditions of the solution map), validates the lifting dimension lower
 bound ``d >= n - 1`` for ``n >= 2``, and owns the plain-text scheme file
@@ -50,7 +51,7 @@ class SchemeMatrices:
         if n < 1 or d < 1:
             raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
         for name, want in _block_shapes(n, d).items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)  # C for .dot
             if arr.shape != want:
                 raise ShapeError(f"{name} must have shape {want}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -134,18 +135,26 @@ def ryu4_scheme(gamma):
     return _first_output_scheme(b, low, tx, gamma)
 
 
-def _sweep(s, z, ops):
-    # (T_out, x, y) at a (d, dim) float z; x[:i] is set before row i reads it
-    bz = s.B @ z
-    x = np.empty((s.n, z.shape[1]))
-    y = np.empty_like(x)
-    for i in range(s.n):
-        yi = bz[i]
-        if i > 0:
-            yi = yi + s.L[i, :i] @ x[:i]
-        y[i] = yi
-        x[i] = ops[i].resolvent(yi)
-    return s.Tz @ z + s.Tx @ x, x, y
+def _compiled(s, ops):
+    # the sweep z -> (T_out, x, y rows) at a (d, dim) float z.  ndarray.dot has @'s bits with
+    # less dispatch, but -0.0 on two one-entry operands, reaching T_out or y only at n = d = 1
+    if len(ops) != s.n:
+        raise ShapeError(f"scheme expects {s.n} operators, got {len(ops)}")
+    mul = "dot" if s.B.size > 1 else "__matmul__"
+    b, tz, tx = (getattr(m, mul) for m in (s.B, s.Tz, s.Tx))
+    rest = [(i, op.resolvent, getattr(s.L[i, :i], mul)) for i, op in enumerate(ops)][1:]
+
+    def sweep(z):
+        bz = b(z)
+        x = np.empty((s.n, z.shape[1]))
+        y = [bz[0]]
+        x[0] = ops[0].resolvent(bz[0])
+        for i, res, low in rest:
+            y.append(bz[i] + low(x[:i]))
+            x[i] = res(y[i])
+        return tz(z) + tx(x), x, y
+
+    return sweep
 
 
 def eval_scheme(s, z, ops):
@@ -156,19 +165,34 @@ def eval_scheme(s, z, ops):
     exactly once, and returns ``(T_out, S_out, x, y)`` where
     ``T_out = Tz z + Tx x`` and ``S_out = Sz z + Sx x``.
     """
-    if len(ops) != s.n:
-        raise ShapeError(f"scheme expects {s.n} operators, got {len(ops)}")
-    z = _lifted(z, s.d, None)
-    t_out, x, y = _sweep(s, z, ops)
-    return t_out, (s.Sz @ z + s.Sx @ x)[0], x, y
+    sweep, z = _compiled(s, ops), _lifted(z, s.d, None)
+    t_out, x, y = sweep(z)
+    return t_out, (s.Sz @ z + s.Sx @ x)[0], x, np.array(y)
 
 
 def update_map(s, ops):
     """The map ``z -> (T_out, x)``, bit for bit as in :func:`eval_scheme`, for
     a float ``z`` of shape ``(d, dim)``; ``ops`` is checked here, not per call."""
-    if len(ops) != s.n:
-        raise ShapeError(f"scheme expects {s.n} operators, got {len(ops)}")
-    return lambda z: _sweep(s, z, ops)[:2]
+    sweep = _compiled(s, ops)
+    return lambda z: sweep(z)[:2]
+
+
+def image_map(s, ops):
+    """The map ``z -> T_out`` of :func:`update_map`.  When every operator offers
+    ``resolvent_rows`` it offers ``rows``, ``T_out`` of each point of a ``(k, d, dim)``
+    stack with the same bits, as ``np.matmul`` takes each point's ``@`` path."""
+    sweep = _compiled(s, ops)
+    image = lambda z: sweep(z)[0]
+    if all(hasattr(op, "resolvent_rows") for op in ops):
+        def rows(z):
+            bz = np.matmul(s.B, z)
+            x = np.empty_like(bz)
+            x[:, 0] = ops[0].resolvent_rows(bz[:, 0])
+            for i in range(1, s.n):
+                x[:, i] = ops[i].resolvent_rows(bz[:, i] + np.matmul(s.L[i, :i], x[:, :i]))
+            return np.matmul(s.Tz, z) + np.matmul(s.Tx, x)
+        image.rows = rows
+    return image
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ which equals the norm of the stacked differences ``x_{i+1} - x_i``.
 A solve whose stop reads the residual sweeps in Python floats when its operators
 offer ``resolvent_scalar`` at ``dim = 1``, or ``entry_resolvents(dim)`` (a column at
 a time), else by :func:`mt_step`, as :func:`pr_solve` always does; every non-NaN
-value of the iterates is the same on every path.
+value of the iterates is the same on every path.  The averagedness sampler maps whole
+stacks of points, with the same bits, when every operator offers ``resolvent_rows``.
 """
 
 import math
@@ -205,12 +206,17 @@ def mt_step(z, ops, gamma):
     if n < 2:
         raise ParameterError(f"need at least 2 operators, got {n}")
     _check_gamma(gamma)
-    z = _lifted(z, n - 1, None)
-    x = np.empty((n, z.shape[1]))
-    x[0] = ops[0].resolvent(z[0])
+    return _mt_sweep(_lifted(z, n - 1, None), [op.resolvent for op in ops], gamma)
+
+
+def _mt_sweep(z, resolvents, gamma):
+    # mt_step on blocks z[i], each a point or a stack the resolvents map row by row
+    n = len(resolvents)
+    x = np.empty((n, *z.shape[1:]))
+    x[0] = resolvents[0](z[0])
     for i in range(1, n - 1):
-        x[i] = ops[i].resolvent(chain_argument(z[i], z[i - 1], x[i - 1]))
-    x[n - 1] = ops[n - 1].resolvent(chain_argument(x[0], z[n - 2], x[n - 2]))
+        x[i] = resolvents[i](chain_argument(z[i], z[i - 1], x[i - 1]))
+    x[n - 1] = resolvents[n - 1](chain_argument(x[0], z[n - 2], x[n - 2]))
     return relaxed_update(z, x[1:], x[:-1], gamma), x
 
 
@@ -407,6 +413,26 @@ def product_dr_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=Non
     return _solve_report(step, max_iter, tol, final)
 
 
+def _slacks(points, images, norms, shrink, gamma):
+    # the relative slack of each pair (points[2p], points[2p + 1]), in Python floats, from
+    # the norms of its four differences as `norms` gives them for a stack of points.  The
+    # sum over blocks and the norms' dots follow the memory layout: every stack is C-ordered
+    images = np.ascontiguousarray(images)
+    resid = points - images
+    dr = resid[0::2] - resid[1::2]
+    four = map(norms, (images[0::2] - images[1::2], dr, dr.sum(axis=1),
+                       points[0::2] - points[1::2]))
+    return [(t ** 2 + shrink * r ** 2 + s ** 2 / gamma - z ** 2) / (1.0 + z ** 2)
+            for t, r, s, z in zip(*four)]
+
+
+def _norms(v):
+    # _norm of each point of a stack: np.matmul of (1, m) by (m, 1) takes v.dot(v)'s path,
+    # and np.sqrt, like math.sqrt, is correctly rounded
+    v = v.reshape(len(v), 1, -1)
+    return np.sqrt(np.matmul(v, v.transpose(0, 2, 1))).ravel().tolist()
+
+
 def averagedness_sample(update, gamma, prng, blocks, dim, pairs):
     """Worst relative slack of the three-term averagedness inequality.
 
@@ -423,6 +449,10 @@ def averagedness_sample(update, gamma, prng, blocks, dim, pairs):
     non-finite slack ends the sampling, with ``prng`` just past that pair,
     and returns ``inf``.  ``gamma`` in ``(0, 1]`` with ``(1-gamma)/gamma`` finite;
     ``blocks``, ``dim`` and ``pairs`` must pass :func:`check_budget`.
+
+    If ``update`` offers ``rows``, a map of a ``(k, blocks, dim)`` stack with its bits per
+    point, one ``rows`` call maps each draw.  The maps of :func:`averagedness_check` and
+    :func:`minsplit.scheme.image_map` offer it when every operator offers ``resolvent_rows``.
     """
     if not (gamma > 0 and math.isfinite((1.0 - gamma) / gamma)):
         raise ParameterError(f"gamma must be positive with (1-gamma)/gamma finite, got {gamma}")
@@ -432,21 +462,18 @@ def averagedness_sample(update, gamma, prng, blocks, dim, pairs):
     check_budget(pairs, "pairs")
     shrink = (1.0 - gamma) / gamma
     words = (blocks * dim + 1) // 2 * 2  # raw words behind one drawn point
+    rows = getattr(update, "rows", None)
     worst = -np.inf
     for first in range(0, pairs, 64):
-        rows = prng.normal_rows(2 * min(64, pairs - first), blocks * dim)
-        for p, (z, z_bar) in enumerate(rows.reshape(-1, 2, blocks, dim)):
-            tz = update(z)
-            tz_bar = update(z_bar)
-            r = z - tz
-            r_bar = z_bar - tz_bar
-            lhs = _norm(tz - tz_bar) ** 2
-            lhs += shrink * _norm(r - r_bar) ** 2
-            lhs += _norm((r - r_bar).sum(axis=0)) ** 2 / gamma
-            rhs = _norm(z - z_bar) ** 2
-            slack = (lhs - rhs) / (1.0 + rhs)
+        points = prng.normal_rows(2 * min(64, pairs - first), blocks * dim).reshape(-1, blocks, dim)
+        if rows is None:  # one update call per point, so none past a non-finite pair
+            slacks = (_slacks(pair, [update(z) for z in pair], lambda v: [_norm(v[0])], shrink,
+                              gamma)[0] for pair in points.reshape(-1, 2, blocks, dim))
+        else:
+            slacks = _slacks(points, rows(points), _norms, shrink, gamma)
+        for p, slack in enumerate(slacks):
             if not math.isfinite(slack):
-                prng._count -= (len(rows) - 2 * p - 2) * words  # as if drawn pair by pair
+                prng._count -= (len(points) - 2 * p - 2) * words  # as if drawn pair by pair
                 return math.inf
             worst = max(worst, slack)
     return worst
@@ -461,7 +488,11 @@ def averagedness_check(ops, gamma, trials, dim=1, seed=0):
     non-averaged map exposes positive slack quickly.  ``trials`` must pass
     :func:`check_budget`: a check that samples nothing certifies nothing.
     """
+    if len(ops) < 2:
+        raise ParameterError(f"need at least 2 operators, got {len(ops)}")
     check_budget(trials, "trials")
-    return averagedness_sample(
-        lambda z: mt_step(z, ops, gamma)[0], gamma, Prng(seed), len(ops) - 1, dim, trials
-    )
+    update = lambda z: mt_step(z, ops, gamma)[0]
+    if all(hasattr(op, "resolvent_rows") for op in ops):
+        rows = [op.resolvent_rows for op in ops]  # _mt_sweep maps block-major stacks
+        update.rows = lambda z: _mt_sweep(z.transpose(1, 0, 2), rows, gamma)[0].transpose(1, 0, 2)
+    return averagedness_sample(update, gamma, Prng(seed), len(ops) - 1, dim, trials)

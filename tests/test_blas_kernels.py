@@ -1,8 +1,10 @@
-"""The termination and network suites under OpenBLAS's AVX2 (Haswell) kernels.
+"""The termination, network and stacked-sampler suites under OpenBLAS's AVX2
+(Haswell) kernels.
 
 OpenBLAS picks its kernels by CPU, and a kernel sets the summation order of
-dot products and mat-vecs.  No verdict in these two suites, and no byte of the
-round-log golden, may depend on that choice.  ``OPENBLAS_CORETYPE`` makes the
+dot products and mat-vecs.  No verdict in these suites, no byte of the
+round-log golden, and no equality of a batched ``np.matmul`` with the
+per-point ``ndarray.dot`` may depend on that choice.  ``OPENBLAS_CORETYPE`` makes the
 child process alone use the AVX2 kernels.  ``tests/test_cli.py`` is left out:
 its ``verify`` goldens print BLAS figures that move in the last digits.
 """
@@ -13,7 +15,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SUITES = ["tests/test_termination.py", "tests/test_network.py"]
+SUITES = ["tests/test_termination.py", "tests/test_network.py", "tests/test_stacked.py"]
 
 
 def test_suites_pass_under_the_avx2_kernels():

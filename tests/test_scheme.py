@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minsplit import (
+    AffineOp,
     KernelWitness,
     SchemeMatrices,
     ZeroOp,
@@ -137,6 +138,20 @@ def test_sweep_equals_reference_loop_bit_for_bit(kind, gamma, dim, seed, data):
     want = reference_eval_scheme(s, z, ops)
     got = eval_scheme(s, z, ops)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    t_out, x = update_map(s, ops)(z)
+    assert (t_out.tobytes(), x.tobytes()) == (want[0].tobytes(), want[2].tobytes())
+
+
+@pytest.mark.parametrize("b", [0.0, -0.0, 2.0])
+def test_one_entry_sweep_keeps_the_reference_sign_of_zero(b):
+    # n = d = dim = 1: both operands of every product hold one entry, which ndarray.dot
+    # multiplies as scalars, giving -0.0 for 0 * -1 where the reference's @ gives +0.0
+    s = SchemeMatrices(n=1, d=1, B=[[b]], L=[[0.0]], Tz=[[0.0]], Tx=[[-1.0]],
+                       Sz=[[1.0]], Sx=[[0.0]])
+    ops = [AffineOp([[1.0]], [0.0])]
+    z = np.array([[-1.0]])
+    want = reference_eval_scheme(s, z, ops)
+    assert [a.tobytes() for a in eval_scheme(s, z, ops)] == [a.tobytes() for a in want]
     t_out, x = update_map(s, ops)(z)
     assert (t_out.tobytes(), x.tobytes()) == (want[0].tobytes(), want[2].tobytes())
 

@@ -225,6 +225,11 @@ def test_generators_keep_their_two_entry_minimum(run, message):
     assert str(err.value) == message
 
 
+def _affine_op():
+    # a (3, 3) y once came back as neither the row- nor the column-wise resolvent
+    return gen_affine_monotone(2, 3, 1).operators()[0]
+
+
 # malformed arguments that numpy used to reject with a bare error: each is named
 NAMED_ERRORS = {
     "pdhg_solve x0": (ShapeError, lambda: _pdhg_start(x0=np.zeros(3)),
@@ -235,6 +240,16 @@ NAMED_ERRORS = {
                     "z0 must be a numeric array, got 'abc'"),
     "make_nodes z0": (ParameterError, lambda: make_nodes(gen_consensus(3, 1).operators(), "ab"),
                       "z0 must be a numeric array, got 'ab'"),
+    "pdhg_solve lap": (ShapeError, lambda: pdhg_solve(np.zeros(3), cycle_laplacian(4), 0.1, 0.1),
+                       "lap is (4, 4) but c has length 3"),
+    "averagedness_check ops": (ParameterError, lambda: averagedness_check([ZeroOp()], 0.5, 10),
+                               "need at least 2 operators, got 1"),
+    "AffineOp y (3, 3)": (ShapeError, lambda: _affine_op().resolvent(np.ones((3, 3))),
+                          "y must have shape (3,), got (3, 3)"),
+    "AffineOp y (5, 3)": (ShapeError, lambda: _affine_op().resolvent(np.ones((5, 3))),
+                          "y must have shape (3,), got (5, 3)"),
+    "AffineOp y (4,)": (ShapeError, lambda: _affine_op().resolvent(np.ones(4)),
+                        "y must have shape (3,), got (4,)"),
 }
 
 
