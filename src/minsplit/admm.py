@@ -34,7 +34,7 @@ from .operators import (
     prox_nuclear,
     project_partial_ball,
 )
-from .splitting import _check_gamma, consensus_spread, iterate, stop_at_tol
+from .splitting import DIVERGED, Outcome, _check_gamma, consensus_spread, iterate
 from .trace import ResidualTrace
 
 
@@ -268,26 +268,23 @@ def kkt_residual(p, w, duals):
     """
     duals = np.atleast_2d(duals)
     dual = linalg.as_vector(duals[-1], "dual")
-    s = [p.blocks[i].apply(np.asarray(w[i], dtype=np.float64)) for i in range(p.n)]
+    w = [np.asarray(wi, dtype=np.float64) for wi in w]
+    if len(w) != p.n or dual.size != p.b.size:
+        raise ShapeError(f"need {p.n} w blocks, {p.b.size} dual entries; got {len(w)}, {dual.size}")
+    s = [p.blocks[i].apply(w[i]) for i in range(p.n)]
     primal = float(np.linalg.norm(sum(s) - p.b))
-    sub = np.empty(p.n)
-    for i in range(p.n):
-        w_ref = _solve_block(p, i, dual - s[i])
-        sub[i] = float(np.linalg.norm(w_ref - np.asarray(w[i], dtype=np.float64)))
+    sub = np.array([np.linalg.norm(_solve_block(p, i, dual - s[i]) - w[i]) for i in range(p.n)])
     return KktResidual(primal=primal, dual_spread=consensus_spread(duals), subgradient=sub)
 
 
 @dataclass
-class AdmmReport:
+class AdmmReport(Outcome):
     """Outcome of an ADMM solve."""
 
-    converged: bool
-    iterations: int
     w: list
     duals: np.ndarray
     kkt: KktResidual
     trace: ResidualTrace
-    diverged: bool = False
     z: np.ndarray = None
     mu: np.ndarray = None
 
@@ -343,6 +340,9 @@ def admm_solve(
     n = p.n
     m = p.b.size
     indices = list(range(n)) if metric_blocks is None else list(metric_blocks)
+    if not (indices and all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in indices)
+            and len(set(indices)) == len(indices)):
+        raise ParameterError(f"metric_blocks must be distinct ints in 0..{n - 1}, got {indices}")
     trace = ResidualTrace(["primal_residual", "relative_change"])
     z = mu = z_pre = s = None
     w_prev = [np.zeros(blk.w_dim) for blk in p.blocks]
@@ -368,25 +368,14 @@ def admm_solve(
         w_prev = w
         return {"primal_residual": float(np.linalg.norm(sum(s) - p.b)), "relative_change": rel}
 
-    k, converged, diverged = iterate(
-        step, trace, max_iter, stop_at_tol(tol, "primal_residual"), watch="primal_residual"
-    )
+    iterate(step, trace, max_iter, tol, "primal_residual", watch="primal_residual")
     if form == "averaged":
         # z_i + A_1 w_1 + ... + A_i w_i over the last sweep, prefix sums from zero
         duals = z_pre + np.array(list(accumulate(s[:-1], initial=np.zeros(m)))[1:])
     else:
         duals = mu.copy()
-    return AdmmReport(
-        converged=converged,
-        iterations=k,
-        w=w_prev,
-        duals=duals,
-        kkt=None if diverged else kkt_residual(p, w_prev, duals),
-        trace=trace,
-        diverged=diverged,
-        z=z,
-        mu=mu,
-    )
+    kkt = None if trace.stop_reason in DIVERGED else kkt_residual(p, w_prev, duals)
+    return AdmmReport(w=w_prev, duals=duals, kkt=kkt, trace=trace, z=z, mu=mu)
 
 
 class _DualBlockOp(MonotoneOp):
@@ -503,8 +492,9 @@ def asalm_solve(observed, lam, delta, max_iter=2000):
     Records the relative change of the recovered (low-rank, sparse) pair
     and the constraint residual, both on all entries and restricted to the
     observed mask.  Runs the whole ``max_iter`` budget unless a sweep
-    diverges, and the trace shows which: the run diverged exactly when its
-    last ``relative_change`` is non-finite or above ``DIVERGENCE_CAP``.
+    diverges, and ``trace.stop_reason`` says which: ``"max_iter"``, or
+    ``"non_finite"`` or ``"diverged"`` when a ``relative_change`` is non-finite
+    or above ``DIVERGENCE_CAP``.
     """
     state = asalm_init(observed.values.shape)
     m_mat = observed.observed()
@@ -524,7 +514,7 @@ def asalm_solve(observed, lam, delta, max_iter=2000):
             "primal_residual_omega": float(np.linalg.norm(resid[observed.mask])),
         }
 
-    iterate(step, trace, max_iter, lambda row: False, watch="relative_change")
+    iterate(step, trace, max_iter, watch="relative_change")
     return state, trace
 
 
@@ -550,15 +540,12 @@ def pdhg_stepsizes(lap_norm, variant):
 
 
 @dataclass
-class PdhgReport:
+class PdhgReport(Outcome):
     """Outcome of a primal-dual solve."""
 
-    converged: bool
-    iterations: int
     x: np.ndarray
     y: np.ndarray
     trace: ResidualTrace
-    diverged: bool = False
 
 
 def pdhg_solve(c, lap, tau, sigma, x0=None, y0=None, tol=1e-8, max_iter=100000):
@@ -601,7 +588,5 @@ def pdhg_solve(c, lap, tau, sigma, x0=None, y0=None, tol=1e-8, max_iter=100000):
         x, y = x_next, y_next
         return {"residual": residual}
 
-    k, converged, diverged = iterate(step, trace, max_iter, stop_at_tol(tol))
-    return PdhgReport(
-        converged=converged, iterations=k, x=x, y=y, trace=trace, diverged=diverged
-    )
+    iterate(step, trace, max_iter, tol)
+    return PdhgReport(x=x, y=y, trace=trace)

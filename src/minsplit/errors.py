@@ -47,9 +47,9 @@ class SchemeParseError(MinsplitError, ValueError):
         self.line_no = line_no
 
 
-def check_budget(value, name):
-    """Raise :class:`ParameterError` naming ``name`` unless ``value`` is an integer >= 1."""
+def check_budget(value, name, least=1):
+    """Raise :class:`ParameterError` naming ``name`` unless ``value`` is an integer >= ``least``."""
     if not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ParameterError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")

@@ -14,9 +14,17 @@ import numpy as np
 from .errors import DecompositionError, ParameterError, ShapeError, SingularMatrixError
 
 
+def as_floats(x, name):
+    """Coerce to a float64 array, else :class:`ParameterError` naming ``name``."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a numeric array, got {x!r}") from None
+
+
 def as_vector(x, name="vector"):
     """Coerce to a finite, non-empty 1-d float64 array."""
-    v = np.asarray(x, dtype=np.float64)
+    v = as_floats(x, name)
     if v.ndim != 1 or v.size == 0:
         raise ShapeError(f"{name} must be a non-empty 1-d array, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -24,12 +32,12 @@ def as_vector(x, name="vector"):
     return v
 
 
-def as_matrix(x, name="matrix"):
-    """Coerce to a finite 2-d float64 array."""
-    m = np.asarray(x, dtype=np.float64)
+def as_matrix(x, name="matrix", finite=True):
+    """Coerce to a non-empty 2-d float64 array, finite unless ``finite=False``."""
+    m = as_floats(x, name)
     if m.ndim != 2 or m.size == 0:
         raise ShapeError(f"{name} must be a non-empty 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if finite and not np.all(np.isfinite(m)):
         raise ParameterError(f"{name} contains non-finite entries")
     return m
 

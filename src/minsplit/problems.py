@@ -41,6 +41,7 @@ class Prng:
 
     def uniforms(self, k):
         """k uniforms in [0, 1) with 53-bit resolution."""
+        check_budget(k, "k", 0)
         return (self._raw(k) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def normals(self, k):
@@ -53,6 +54,8 @@ class Prng:
         Not :meth:`normal_matrix`: its one ``normals(rows * cols)`` call takes
         the same raw words but pairs them differently.
         """
+        check_budget(count, "count", 0)
+        check_budget(k, "k", 0)
         m = (k + 1) // 2
         raw = self._raw(2 * m * count).reshape(count, 2, m)
         # u1 in (0, 1] so the logarithm is finite
@@ -69,7 +72,9 @@ class Prng:
         return self.normals(rows * cols).reshape(rows, cols)
 
     def subset(self, n, k):
-        """Deterministic size-k subset of range(n), as a sorted index array."""
+        """Deterministic size-k subset of range(n), ``0 <= k <= n``, as a sorted index array."""
+        if not 0 <= k <= n:
+            raise ParameterError(f"subset needs 0 <= k <= n, got k={k}, n={n}")
         order = np.argsort(self.uniforms(n), kind="stable")
         return np.sort(order[:k])
 

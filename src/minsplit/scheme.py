@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFixedPointError, ParameterError, SchemeParseError, ShapeError, check_budget
-from .splitting import _lifted, _sweeps, consensus_spread, iterate, stop_at_tol
+from .splitting import DIVERGED, _lifted, _sweeps, consensus_spread, iterate
 from .trace import write_rows
 
 
@@ -283,8 +283,8 @@ def solve_scheme(s, ops, z0=None, tol=1e-10, max_iter=100000, dim=None):
     """
     z = _lifted(z0, s.d, dim, name="z0")
     step, final = _sweeps(update_map(s, ops), z, 1.0)
-    k, converged, diverged = iterate(step, None, max_iter, stop_at_tol(tol))
-    return final()[0], converged, diverged, k
+    k, reason = iterate(step, None, max_iter, tol)
+    return final()[0], reason == "tol", reason in DIVERGED, k
 
 
 def save_scheme(s, path):

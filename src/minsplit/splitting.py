@@ -24,10 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError, check_budget
+from .linalg import as_floats, as_matrix
 from .problems import Prng
 from .trace import ResidualTrace
 
 DIVERGENCE_CAP = 1e12
+DIVERGED = ("diverged", "non_finite")  # the stop reasons of a run that blew up
 
 
 @dataclass
@@ -38,8 +40,24 @@ class SplitState:
     x: np.ndarray
 
 
+class Outcome:
+    """How a run ended, read off its ``trace.stop_reason`` (set by :func:`iterate`)."""
+
+    @property
+    def iterations(self):
+        return len(self.trace)
+
+    @property
+    def converged(self):
+        return self.trace.stop_reason == "tol"
+
+    @property
+    def diverged(self):
+        return self.trace.stop_reason in DIVERGED
+
+
 @dataclass
-class SolveReport:
+class SolveReport(Outcome):
     """Outcome of a fixed-point solve.
 
     ``trace`` holds one ``residual`` per sweep, plus ``spread`` (the
@@ -48,13 +66,10 @@ class SolveReport:
     the final resolvent outputs ``state.x``.
     """
 
-    converged: bool
-    iterations: int
     final_x: np.ndarray
     trace: ResidualTrace
     consensus_spread: float
-    diverged: bool = False
-    state: SplitState = None
+    state: SplitState
 
 
 def relaxed_update(z_block, x_next, x_prev, gamma):
@@ -80,8 +95,8 @@ def chain_argument(lead, z_prev, x_prev):
 
 
 def consensus_spread(x):
-    """Largest pairwise distance ``max_{i,j} ||x_i - x_j||`` between blocks."""
-    x = np.asarray(x, dtype=np.float64)
+    """Largest pairwise distance ``max_{i,j} ||x_i - x_j||`` between the rows of ``x``."""
+    x = as_matrix(x, "x", finite=False)
     if x.shape[1] == 1:
         col = x[:, 0]
         return float(col.max() - col.min())
@@ -101,57 +116,47 @@ def _squared_distances(a, b):
     return sum((a[:, j, None] - b[None, :, j]) ** 2 for j in range(a.shape[1]))
 
 
-def iterate(step, trace, max_iter, stop, watch="residual"):
+def iterate(step, trace, max_iter, tol=0.0, stop="residual", watch="residual"):
     """Drive a fixed-point iteration for at most ``max_iter`` sweeps.
 
     ``step()`` advances the caller's state by one sweep and returns the
     sweep's row of named values, which is appended to ``trace`` (unless it
     is ``None``) as row ``k`` for sweep ``k``.  The run ends at the first sweep
-    whose ``watch`` value is non-finite or above :data:`DIVERGENCE_CAP`
-    (diverged), or whose row satisfies ``stop(row)`` (converged).
+    whose ``watch`` value is non-finite (stop reason ``"non_finite"``) or above
+    :data:`DIVERGENCE_CAP` (``"diverged"``), or whose ``row[stop] <= tol`` (``"tol"``;
+    ``tol = 0`` never stops, even on an exact fixed point), else after ``"max_iter"``.
 
-    Returns ``(iterations, converged, diverged)``; raises
-    :class:`ParameterError` unless ``max_iter`` passes :func:`check_budget`.
+    Returns ``(iterations, stop_reason)`` and sets ``trace.stop_reason``.  Raises
+    :class:`ParameterError` for a negative or NaN ``tol``, then unless ``max_iter``
+    passes :func:`check_budget`.
     """
+    if not tol >= 0:
+        raise ParameterError(f"tol must be nonnegative, got {tol}")
     check_budget(max_iter, "max_iter")
+    reason = "max_iter"
     for k in range(1, max_iter + 1):
         row = step()
         if trace is not None:
             trace.append(row)
         m = row[watch]
         if not math.isfinite(m) or m > DIVERGENCE_CAP:
-            return k, False, True
-        if stop(row):
-            return k, True, False
-    return max_iter, False, False
-
-
-def stop_at_tol(tol, column="residual"):
-    """The stop test ``row[column] <= tol`` of every tolerance-driven solver.
-
-    ``tol = 0`` never stops, so the whole iteration budget runs even when a
-    sweep lands exactly on a fixed point.  Raises :class:`ParameterError`
-    when ``tol`` is negative or NaN.
-    """
-    if not tol >= 0:
-        raise ParameterError(f"tol must be nonnegative, got {tol}")
-    return lambda row: tol > 0.0 and row[column] <= tol
+            reason = "diverged" if math.isfinite(m) else "non_finite"
+            break
+        if tol > 0.0 and row[stop] <= tol:
+            reason = "tol"
+            break
+    if trace is not None:
+        trace.stop_reason = reason
+    return k, reason
 
 
 def _solve_report(step, max_iter, tol, final, stop="residual"):
     # iterate until row[stop] <= tol; final() gives (z, x, final_x)
     trace = ResidualTrace(["residual"] if stop == "residual" else ["residual", stop])
-    k, converged, diverged = iterate(step, trace, max_iter, stop_at_tol(tol, stop))
+    iterate(step, trace, max_iter, tol, stop)
     z, x, final_x = final()
-    return SolveReport(
-        converged=converged,
-        iterations=k,
-        final_x=final_x,
-        trace=trace,
-        consensus_spread=trace.last(stop) if stop == "spread" else consensus_spread(x),
-        diverged=diverged,
-        state=SplitState(z=z, x=x),
-    )
+    spread = trace.last(stop) if stop == "spread" else consensus_spread(x)
+    return SolveReport(final_x, trace, spread, SplitState(z=z, x=x))
 
 
 def _check_gamma(gamma, hi=1.0, include_hi=True):
@@ -173,10 +178,7 @@ def _lifted(z, blocks, dim, name="z"):
             raise ParameterError(f"provide {name} or dim")
         check_budget(dim, "dim")
         return np.zeros((blocks, dim))
-    try:
-        z = np.asarray(z, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a numeric array, got {z!r}") from None
+    z = as_floats(z, name)
     if z.ndim == 1:
         z = z[:, None]
     if z.ndim != 2 or z.shape[0] != blocks or z.shape[1] == 0:
@@ -326,7 +328,7 @@ def mt_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=None):
         Initial lifted point; defaults to all zeros (``dim`` then required).
     tol : float
         Threshold on the residual ``||z_next - z|| / gamma``; ``tol = 0``
-        runs all ``max_iter`` sweeps (see :func:`stop_at_tol`).
+        runs all ``max_iter`` sweeps (see :func:`iterate`).
     max_iter : int
     dim : int or None
         Block dimension when ``z0`` is omitted.

@@ -17,6 +17,8 @@ def format_float(v):
 class ResidualTrace:
     """Columnar per-sweep records of named values; row ``k`` is sweep ``k``."""
 
+    stop_reason = None  # why the run ended, as minsplit.splitting.iterate sets it
+
     def __init__(self, columns):
         self.column_names = list(columns)
         self.columns = {name: [] for name in self.column_names}

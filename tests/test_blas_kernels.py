@@ -1,5 +1,5 @@
-"""The termination, network and stacked-sampler suites under OpenBLAS's AVX2
-(Haswell) kernels.
+"""The termination, network, stacked-sampler, ADMM and splitting suites under
+OpenBLAS's AVX2 (Haswell) kernels.
 
 OpenBLAS picks its kernels by CPU, and a kernel sets the summation order of
 dot products and mat-vecs.  No verdict in these suites, no byte of the
@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SUITES = ["tests/test_termination.py", "tests/test_network.py", "tests/test_stacked.py"]
+SUITES = ["tests/test_termination.py", "tests/test_network.py", "tests/test_stacked.py",
+          "tests/test_admm.py", "tests/test_splitting.py"]
 
 
 def test_suites_pass_under_the_avx2_kernels():

@@ -584,9 +584,12 @@ def test_scalar_path_reports_the_spread_of_its_final_outputs():
     assert report.consensus_spread == consensus_spread(report.state.x)
 
 
-def test_stop_at_tol_rejects_nan():
-    with pytest.raises(ParameterError, match="tol"):
-        minsplit.splitting.stop_at_tol(float("nan"))
+def test_iterate_rejects_nan_tol():
+    # before the max_iter check, so this error wins over a bad budget
+    with pytest.raises(ParameterError, match="tol must be nonnegative, got nan"):
+        minsplit.splitting.iterate(lambda: {"residual": 1.0}, None, 0, tol=float("nan"))
+    with pytest.raises(ParameterError, match="tol must be nonnegative, got nan"):
+        mt_solve(gen_consensus(3, 1).operators(), dim=1, tol=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,21 @@ from minsplit import (
     MonotoneOp,
     PartialMatrix,
     Prng,
+    ProxOp,
     ResidualTrace,
     SepProblem,
     ZeroOp,
     admm_solve,
     asalm_solve,
     averagedness_check,
+    consensus_spread,
     cycle_laplacian,
     eval_scheme,
     gen_affine_monotone,
     gen_consensus,
     gen_rpca,
     identity_prox_block,
+    kkt_residual,
     make_nodes,
     mt_scheme,
     mt_solve,
@@ -81,28 +84,66 @@ def _pdhg_start(**kwargs):
     return pdhg_solve(np.zeros(4), lap, *pdhg_stepsizes(op_norm(lap), 1), **kwargs)
 
 
-NON_FINITE_RUNS = {
-    "mt_solve-scalar": lambda: _report(mt_solve(nan_ops(3), max_iter=50, dim=1)),
-    "mt_solve-array": lambda: _report(mt_solve(nan_ops(3), max_iter=50, dim=2)),
-    "pr_solve": lambda: _report(pr_solve(nan_ops(3), max_iter=50, dim=1)),
-    "ryu3_solve": lambda: _report(ryu3_solve(nan_ops(3), max_iter=50, dim=2)),
-    "product_dr_solve": lambda: _report(product_dr_solve(nan_ops(3), max_iter=50, dim=2)),
-    "run_protocol": lambda: _report(
-        run_protocol(make_nodes(nan_ops(3), np.zeros((2, 2))), 0.9, 50)[0]
-    ),
-    "admm_solve-averaged": lambda: _report(admm_solve(nan_admm_problem(), max_iter=50)),
-    "admm_solve-auglag": lambda: _report(
-        admm_solve(nan_admm_problem(), form="auglag", max_iter=50)
-    ),
-    "solve_scheme": _nan_scheme_run,
-    "pdhg_solve": lambda: _report(_pdhg_start(x0=np.full(4, np.nan), max_iter=50)),
+NON_FINITE_REPORTS = {  # the runs that return a report, whose trace says why it stopped
+    "mt_solve-scalar": lambda: mt_solve(nan_ops(3), max_iter=50, dim=1),
+    "mt_solve-array": lambda: mt_solve(nan_ops(3), max_iter=50, dim=2),
+    "pr_solve": lambda: pr_solve(nan_ops(3), max_iter=50, dim=1),
+    "ryu3_solve": lambda: ryu3_solve(nan_ops(3), max_iter=50, dim=2),
+    "product_dr_solve": lambda: product_dr_solve(nan_ops(3), max_iter=50, dim=2),
+    "run_protocol": lambda: run_protocol(make_nodes(nan_ops(3), np.zeros((2, 2))), 0.9, 50)[0],
+    "admm_solve-averaged": lambda: admm_solve(nan_admm_problem(), max_iter=50),
+    "admm_solve-auglag": lambda: admm_solve(nan_admm_problem(), form="auglag", max_iter=50),
+    "pdhg_solve": lambda: _pdhg_start(x0=np.full(4, np.nan), max_iter=50),
 }
+
+NON_FINITE_RUNS = {name: lambda run=run: _report(run()) for name, run in NON_FINITE_REPORTS.items()}
+NON_FINITE_RUNS["solve_scheme"] = _nan_scheme_run  # solve_scheme returns no trace
 
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_RUNS))
 def test_non_finite_run_stops_at_first_sweep_as_diverged(name):
     iterations, converged, diverged = NON_FINITE_RUNS[name]()
     assert (iterations, converged, diverged) == (1, False, True)
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_REPORTS))
+def test_non_finite_run_traces_its_stop_reason(name):
+    assert NON_FINITE_REPORTS[name]().trace.stop_reason == "non_finite"
+
+
+def _asalm_trace(scale, max_iter):
+    inst = gen_rpca(6, 6, 1)
+    observed = PartialMatrix(values=scale * inst.observed, mask=inst.omega)
+    with np.errstate(over="ignore", invalid="ignore"):  # a 1e300 scale overflows the norms
+        return asalm_solve(observed, 0.25, 0.1, max_iter=max_iter)[1]
+
+
+# every way a run ends, one reason per run: (run returning a trace, sweeps, stop reason)
+STOP_REASON_RUNS = {
+    "mt_solve tol": (lambda: mt_solve(gen_consensus(10, 3).operators(), dim=1).trace,
+                     None, "tol"),
+    "mt_solve tol=0": (lambda: mt_solve(gen_consensus(10, 3).operators(), dim=1, tol=0,
+                                        max_iter=7).trace, 7, "max_iter"),
+    # an expanding resolvent, y -> 3y: finite residuals that grow past the cap
+    "mt_solve cap": (lambda: mt_solve([ProxOp(lambda y, s: 3.0 * y), ZeroOp(), ZeroOp()],
+                                      z0=np.ones((2, 2))).trace, 55, "diverged"),
+    "admm_solve tol=0": (lambda: admm_solve(_rpca_parts()[1], tol=0, max_iter=3).trace,
+                         3, "max_iter"),
+    "pdhg_solve tol=0": (lambda: _pdhg_start(x0=np.ones(4), tol=0, max_iter=4).trace,
+                         4, "max_iter"),
+    "asalm_solve budget": (lambda: _asalm_trace(1.0, 5), 5, "max_iter"),
+    "asalm_solve overflow": (lambda: _asalm_trace(1e300, 5), 1, "non_finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOP_REASON_RUNS))
+def test_every_solver_trace_says_why_it_stopped(name):
+    run, sweeps, reason = STOP_REASON_RUNS[name]
+    trace = run()
+    assert trace.stop_reason == reason
+    assert sweeps is None or len(trace) == sweeps
+    if reason == "diverged":  # above the cap, not non-finite
+        assert DIVERGENCE_CAP < trace.last("residual") < math.inf
 
 
 def test_nan_start_reaches_the_scalar_paths_outputs():
@@ -250,7 +291,51 @@ NAMED_ERRORS = {
                           "y must have shape (3,), got (5, 3)"),
     "AffineOp y (4,)": (ShapeError, lambda: _affine_op().resolvent(np.ones(4)),
                         "y must have shape (3,), got (4,)"),
+    "consensus_spread 1-d": (ShapeError, lambda: consensus_spread(np.array([1.0, 2.0])),
+                             "x must be a non-empty 2-d array, got shape (2,)"),
+    "consensus_spread (0, 3)": (ShapeError, lambda: consensus_spread(np.zeros((0, 3))),
+                                "x must be a non-empty 2-d array, got shape (0, 3)"),
+    "consensus_spread (3, 0)": (ShapeError, lambda: consensus_spread(np.zeros((3, 0))),
+                                "x must be a non-empty 2-d array, got shape (3, 0)"),
+    "consensus_spread (0, 1)": (ShapeError, lambda: consensus_spread(np.zeros((0, 1))),
+                                "x must be a non-empty 2-d array, got shape (0, 1)"),
+    "consensus_spread text": (ParameterError, lambda: consensus_spread("ab"),
+                              "x must be a numeric array, got 'ab'"),
+    "kkt_residual w": (ShapeError, lambda: _kkt_run(1, 2),
+                       "need 2 w blocks, 2 dual entries; got 1, 2"),
+    "kkt_residual dual": (ShapeError, lambda: _kkt_run(2, 3),
+                          "need 2 w blocks, 2 dual entries; got 2, 3"),
+    **{f"admm_solve metric_blocks {blocks}": (
+        ParameterError, lambda blocks=blocks: _metric_blocks_run(blocks),
+        f"metric_blocks must be distinct ints in 0..1, got {list(blocks)}",
+    ) for blocks in [(5,), (1.0,), (-1,), (), (1, 1)]},
+    "Prng.uniforms": (ParameterError, lambda: Prng(7).uniforms(-3), "k must be >= 0, got -3"),
+    "Prng.normals": (ParameterError, lambda: Prng(7).normals(-2), "k must be >= 0, got -2"),
+    "Prng.normal_rows k": (ParameterError, lambda: Prng(7).normal_rows(2, -4),
+                           "k must be >= 0, got -4"),
+    "Prng.normal_rows count": (ParameterError, lambda: Prng(7).normal_rows(-1, 2),
+                               "count must be >= 0, got -1"),
+    "Prng.subset k < 0": (ParameterError, lambda: Prng(7).subset(5, -1),
+                          "subset needs 0 <= k <= n, got k=-1, n=5"),
+    "Prng.subset k > n": (ParameterError, lambda: Prng(7).subset(3, 5),
+                          "subset needs 0 <= k <= n, got k=5, n=3"),
 }
+
+
+def _kkt_run(w_blocks, dual_size):
+    p = SepProblem(blocks=(identity_prox_block(lambda u: u, 2, coercive=True),) * 2,
+                   b=np.ones(2))
+    return kkt_residual(p, [np.zeros(2)] * w_blocks, np.zeros(dual_size))
+
+
+def _metric_blocks_run(metric_blocks):
+    calls = []
+    counting = identity_prox_block(lambda u: calls.append(u) or u, 2, coercive=True)
+    try:
+        admm_solve(SepProblem(blocks=(counting, counting), b=np.ones(2)), max_iter=3,
+                   metric_blocks=metric_blocks)
+    finally:
+        assert calls == [], "a block was solved before metric_blocks was checked"
 
 
 @pytest.mark.parametrize("entry", sorted(NAMED_ERRORS))
@@ -259,6 +344,16 @@ def test_malformed_argument_is_a_named_error(entry):
     with pytest.raises(error) as err:
         run()
     assert str(err.value) == message
+
+
+def test_prng_draws_nothing_for_a_zero_count():
+    prng = Prng(7)
+    assert prng.uniforms(0).shape == (0,)
+    assert prng.normal_rows(0, 3).shape == (0, 3)
+    assert prng.normal_rows(2, 0).shape == (2, 0)
+    assert prng.uniforms(3).tobytes() == Prng(7).uniforms(3).tobytes()  # nothing drawn
+    assert Prng(7).subset(3, 0).size == 0
+    assert list(Prng(7).subset(3, 3)) == [0, 1, 2]
 
 
 def test_product_dr_solve_needs_an_operator_before_any_numpy_call():
@@ -330,22 +425,28 @@ def _replay_rows(values):
 
 def test_iterate_traces_every_sweep_and_stops_on_the_callers_test():
     trace = ResidualTrace(["residual"])
-    run = iterate(_replay_rows([3.0, 2.0, 1.0, 0.5]), trace, 10,
-                  lambda row: row["residual"] <= 1.0)
-    assert run == (3, True, False)
+    run = iterate(_replay_rows([3.0, 2.0, 1.0, 0.5]), trace, 10, tol=1.0)
+    assert run == (3, "tol")
+    assert trace.stop_reason == "tol"
     assert [row[0] for row in trace.rows()] == ["1", "2", "3"]
     assert trace.columns["residual"] == [3.0, 2.0, 1.0]
 
 
 def test_iterate_exhausts_the_budget_without_a_verdict():
-    assert iterate(_replay_rows([1.0] * 4), None, 4, lambda row: False) == (4, False, False)
+    assert iterate(_replay_rows([1.0] * 4), None, 4) == (4, "max_iter")
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2 * DIVERGENCE_CAP])
-def test_iterate_divergence_wins_over_the_stop_test(bad):
-    trace = ResidualTrace(["residual"])
-    run = iterate(_replay_rows([1.0, bad]), trace, 10, lambda row: row["residual"] != 1.0)
-    assert run == (2, False, True)
+@pytest.mark.parametrize("bad, reason", [
+    (math.nan, "non_finite"), (math.inf, "non_finite"), (-math.inf, "non_finite"),
+    (2 * DIVERGENCE_CAP, "diverged"),
+], ids=["nan", "inf", "-inf", "2000000000000.0"])
+def test_iterate_divergence_wins_over_the_stop_test(bad, reason):
+    # the bad row's own stop column meets tol, so only the watch can end the run there
+    rows = iter([{"residual": 1.0, "stop": 5.0}, {"residual": bad, "stop": 0.0}])
+    trace = ResidualTrace(["residual", "stop"])
+    run = iterate(lambda: next(rows), trace, 10, tol=1.0, stop="stop")
+    assert run == (2, reason)
+    assert trace.stop_reason == reason
     assert len(trace) == 2
 
 
@@ -353,4 +454,4 @@ def test_iterate_watches_the_named_column():
     def step():
         return {"residual": 0.0, "delta": math.nan}
 
-    assert iterate(step, None, 5, lambda row: False, watch="delta") == (1, False, True)
+    assert iterate(step, None, 5, watch="delta") == (1, "non_finite")
