@@ -26,10 +26,9 @@ from .admm import (
     kkt_residual,
     pdhg_solve,
     pdhg_stepsizes,
-    quadratic_block,
     rpca_problem,
 )
-from .linalg import SvdResult, op_norm, solve_small, svd
+from .linalg import SvdResult, op_norm, svd
 from .network import (
     Message,
     Node,
@@ -47,10 +46,8 @@ from .operators import (
     AffineOp,
     MonotoneOp,
     PartialMatrix,
-    PointIndicator,
     ProxOp,
     ZeroOp,
-    firmness_gap,
     prox_abs,
     prox_l1,
     prox_nuclear,
@@ -81,6 +78,7 @@ from .scheme import (
     ryu4_scheme,
     save_scheme,
     solve_scheme,
+    solve_stack,
     update_map,
     witness_from_point,
 )

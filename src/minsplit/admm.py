@@ -74,34 +74,6 @@ def identity_prox_block(prox, dim, coercive, label="prox"):
     )
 
 
-def quadratic_block(q_mat, q_vec, a_mat, label="quadratic"):
-    """Block with ``f(w) = 0.5 w^T Q w + q^T w`` and a general matrix ``A``."""
-    q_mat = linalg.as_matrix(q_mat, "Q")
-    q_vec = linalg.as_vector(q_vec, "q")
-    a_mat = linalg.as_matrix(a_mat, "A")
-    if q_mat.shape[0] != q_mat.shape[1] or q_mat.shape[0] != q_vec.size:
-        raise ShapeError("Q must be square and match q")
-    if a_mat.shape[1] != q_vec.size:
-        raise ShapeError("A must have as many columns as Q")
-    eig_q = np.linalg.eigvalsh(0.5 * (q_mat + q_mat.T))
-    gram = a_mat.T @ a_mat
-    eig_gram = np.linalg.eigvalsh(gram)
-    system = q_mat + gram
-
-    def solve(v):
-        return linalg.solve_small(system, -(q_vec + a_mat.T @ v))
-
-    return SepBlock(
-        solve=solve,
-        apply=lambda w: a_mat @ w,
-        w_dim=q_vec.size,
-        out_dim=a_mat.shape[0],
-        coercive=bool(eig_q[0] > 0),
-        gram_invertible=bool(eig_gram[0] > 1e-12 * max(1.0, eig_gram[-1])),
-        label=label,
-    )
-
-
 @dataclass(frozen=True)
 class SepProblem:
     """A separable problem: blocks plus the right-hand side of the constraint."""
@@ -271,6 +243,9 @@ def kkt_residual(p, w, duals):
     w = [np.asarray(wi, dtype=np.float64) for wi in w]
     if len(w) != p.n or dual.size != p.b.size:
         raise ShapeError(f"need {p.n} w blocks, {p.b.size} dual entries; got {len(w)}, {dual.size}")
+    for i, (blk, wi) in enumerate(zip(p.blocks, w)):
+        if wi.shape != (blk.w_dim,):
+            raise ShapeError(f"w block {i} must have shape ({blk.w_dim},), got {wi.shape}")
     s = [p.blocks[i].apply(w[i]) for i in range(p.n)]
     primal = float(np.linalg.norm(sum(s) - p.b))
     sub = np.array([np.linalg.norm(_solve_block(p, i, dual - s[i]) - w[i]) for i in range(p.n)])
@@ -339,8 +314,9 @@ def admm_solve(
         raise ParameterError(f"unknown form {form!r}")
     n = p.n
     m = p.b.size
-    indices = list(range(n)) if metric_blocks is None else list(metric_blocks)
-    if not (indices and all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in indices)
+    indices = list(range(n)) if metric_blocks is None else metric_blocks
+    if not (np.iterable(indices) and (indices := list(indices))
+            and all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in indices)
             and len(set(indices)) == len(indices)):
         raise ParameterError(f"metric_blocks must be distinct ints in 0..{n - 1}, got {indices}")
     trace = ResidualTrace(["primal_residual", "relative_change"])

@@ -254,15 +254,16 @@ def cmd_verify(args):
     kernel_worst = 0.0
     mapping_worst = 0.0
     fixed_points_found = 0
+    instances = []
     for trial in range(args.trials // 10):
         inst = problems.gen_affine_monotone(sch.n, dim, seed=int(prng.uniforms(1)[0] * 2**31))
-        ops = inst.operators()
+        instances.append(inst.operators())
         slack = splitting.averagedness_sample(
-            scheme.image_map(sch, ops), args.gamma, prng, sch.d, dim, 10
+            scheme.image_map(sch, instances[-1]), args.gamma, prng, sch.d, dim, 10
         )
         worst_slack = max(worst_slack, slack)
-        z_fix, conv, div, _ = scheme.solve_scheme(sch, ops, dim=dim, tol=1e-10,
-                                                  max_iter=args.max_iter)
+    solves = scheme.solve_stack(sch, instances, dim, tol=1e-10, max_iter=args.max_iter)
+    for ops, (z_fix, conv, div, _) in zip(instances, solves):
         diverged_any = diverged_any or div
         if conv:
             fixed_points_found += 1

@@ -19,10 +19,6 @@ class DecompositionError(MinsplitError, ArithmeticError):
     """A matrix decomposition failed to converge."""
 
 
-class SingularMatrixError(MinsplitError, ArithmeticError):
-    """A linear solve hit a (numerically) singular matrix."""
-
-
 class ProtocolError(MinsplitError, RuntimeError):
     """A network node was driven outside the legal protocol state."""
 

@@ -2,16 +2,15 @@
 
 Vectors are 1-d ``numpy.ndarray`` of float64, matrices are 2-d.  Everything
 is validated to be finite on the way in (else :class:`ParameterError`).
-:func:`solve_small` checks its residual on every call; :func:`svd` does not,
-as it sits on the robust PCA hot path, and ``tests/test_linalg.py`` checks
-its reconstruction bound instead.
+:func:`svd` does not check its reconstruction, as it sits on the robust PCA
+hot path; ``tests/test_linalg.py`` checks its reconstruction bound instead.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, ParameterError, ShapeError, SingularMatrixError
+from .errors import DecompositionError, ParameterError, ShapeError
 
 
 def as_floats(x, name):
@@ -91,28 +90,3 @@ def op_norm(x):
     """Largest singular value of ``x`` (the spectral operator norm)."""
     return float(svd(x).sigma[0])
 
-
-def solve_small(m, b):
-    """Solve the square system ``m @ x = b`` with a residual back-check.
-
-    Intended for small, well-posed systems such as ``I + step*M`` with a
-    monotone ``M``.  The solution satisfies
-    ``||m @ x - b|| <= 1e-8 * (1 + ||b||)`` or a ``SingularMatrixError``
-    is raised.
-    """
-    m = as_matrix(m, "m")
-    b = as_vector(b, "b")
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"m must be square, got {m.shape}")
-    if m.shape[0] != b.size:
-        raise ShapeError(f"m is {m.shape} but b has length {b.size}")
-    try:
-        x = np.linalg.solve(m, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-    residual = float(np.linalg.norm(m @ x - b))
-    if not np.isfinite(residual) or residual > 1e-8 * (1.0 + float(np.linalg.norm(b))):
-        raise SingularMatrixError(
-            f"system is singular to working tolerance (residual {residual:.3e})"
-        )
-    return x

@@ -112,8 +112,9 @@ class MonotoneOp:
 
     Subclasses must implement :meth:`resolvent`; the solvers use no other interface except
     its optional pure-float forms, which only :class:`AbsValue` offers: ``resolvent_scalar``,
-    and ``entry_resolvents(dim)`` per entry; and ``resolvent_rows(ys, step)`` on a ``(k, dim)``
-    stack, which only :class:`AffineOp` offers, for the averagedness sampler's stacked path.
+    and ``entry_resolvents(dim)`` per entry; and ``resolvent_rows`` on a ``(k, dim)`` stack,
+    which :class:`AffineOp` offers for the averagedness sampler, and :class:`AffineStack`
+    (operator ``i`` of ``k`` instances, row ``j`` by instance ``j``) for ``verify``'s solves.
     """
 
     def resolvent(self, y, step=1.0):
@@ -193,19 +194,31 @@ class AffineOp(MonotoneOp):
         inv, shift = self._inverse(step)
         if np.shape(ys)[-1:] != shift.shape:
             raise ShapeError(f"rows must have length {shift.size}, got shape {np.shape(ys)}")
-        return np.matmul(inv, (ys - shift)[..., None])[..., 0]
+        return AffineStack(inv, shift).resolvent_rows(ys)
 
 
-class PointIndicator(MonotoneOp):
-    """Normal cone of ``{p}``; its resolvent is the constant ``p``."""
+class AffineStack:
+    """Operator ``i`` of ``k`` :class:`AffineOp` instances at step 1: ``invs`` and ``shifts``
+    stack each instance's ``(inv(I + m), c)``, and row ``j`` maps by instance ``j``."""
 
-    def __init__(self, p):
-        self.p = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    def __init__(self, invs, shifts):
+        self.invs, self.shifts = invs, shifts
 
-    def resolvent(self, y, step=1.0):
-        if np.shape(y) != self.p.shape:
-            raise ShapeError(f"shapes disagree: y {np.shape(y)}, p {self.p.shape}")
-        return self.p.copy()
+    @classmethod
+    def of(cls, ops, dim):
+        """The stack of ``ops``, or ``None`` unless each is an :class:`AffineOp` of ``dim``
+        (a subclass may map otherwise)."""
+        if not ops or any(type(op) is not AffineOp or op.c.size != dim for op in ops):
+            return None
+        invs, shifts = zip(*(op._inverse(1.0) for op in ops))
+        return cls(np.array(invs), np.array(shifts))
+
+    def resolvent_rows(self, ys):
+        # np.matmul takes each row's @ path, so row j has the bits of instance j's resolvent
+        return np.matmul(self.invs, (ys - self.shifts)[..., None])[..., 0]
+
+    def take(self, rows):
+        return AffineStack(self.invs[rows], self.shifts[rows])
 
 
 class ProxOp(MonotoneOp):
@@ -217,15 +230,3 @@ class ProxOp(MonotoneOp):
     def resolvent(self, y, step=1.0):
         return self._fn(np.asarray(y, dtype=np.float64), step)
 
-
-def firmness_gap(op, y, y_bar, step=1.0):
-    """Violation of firm nonexpansiveness at the pair ``(y, y_bar)``.
-
-    Returns ``||Jy - Jy_bar||^2 - <Jy - Jy_bar, y - y_bar>``, which must be
-    nonpositive (up to roundoff) for the resolvent of a monotone operator.
-    """
-    jy = op.resolvent(np.asarray(y, dtype=np.float64), step)
-    jy_bar = op.resolvent(np.asarray(y_bar, dtype=np.float64), step)
-    dj = jy - jy_bar
-    dy = np.asarray(y, dtype=np.float64) - np.asarray(y_bar, dtype=np.float64)
-    return float(dj @ dj - dj @ dy)

@@ -194,13 +194,10 @@ def gen_affine_monotone(n_ops, dim, seed, moduli=None):
         raise ParameterError(f"expected {n_ops} moduli, got {len(moduli)}")
     prng = Prng(seed)
     scale = 1.0 / np.sqrt(dim)
-    mats = []
-    for beta in moduli:
-        p = prng.normal_matrix(dim, dim) * scale
-        k = prng.normal_matrix(dim, dim) * scale
-        mats.append(p.T @ p + 0.5 * (k - k.T) + beta * np.eye(dim))
-    solution = prng.normals(dim)
-    offsets = [prng.normals(dim) for _ in range(n_ops - 1)]
+    # one normal_rows call per kind of draw: row by row, the bits of a normals call each
+    parts = prng.normal_rows(2 * n_ops, dim * dim).reshape(n_ops, 2, dim, dim) * scale
+    mats = [p.T @ p + 0.5 * (k - k.T) + beta * np.eye(dim) for (p, k), beta in zip(parts, moduli)]
+    solution, *offsets = prng.normal_rows(n_ops, dim)
     total = sum(m @ solution for m in mats)
     for c in offsets:
         total = total + c

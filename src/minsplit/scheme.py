@@ -11,7 +11,8 @@ matrices acting blockwise on lifted points:
 
 This module executes such schemes generically (:func:`update_map` gives
 ``T(z)`` and ``x`` alone, :func:`image_map` ``T(z)`` alone, also on stacks of
-points), certifies their structural identities
+points, and :func:`solve_stack` runs the fixed-point searches of many affine
+instances as one stack), certifies their structural identities
 numerically (kernel residuals of a block matrix, the consensus/averaging
 conditions of the solution map), validates the lifting dimension lower
 bound ``d >= n - 1`` for ``n >= 2``, and owns the plain-text scheme file
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFixedPointError, ParameterError, SchemeParseError, ShapeError, check_budget
-from .splitting import DIVERGED, _lifted, _sweeps, consensus_spread, iterate
+from .operators import AffineStack
+from .splitting import DIVERGED, _lifted, _norms, _sweeps, consensus_spread, iterate, stop_reason
 from .trace import write_rows
 
 
@@ -184,15 +186,18 @@ def image_map(s, ops):
     sweep = _compiled(s, ops)
     image = lambda z: sweep(z)[0]
     if all(hasattr(op, "resolvent_rows") for op in ops):
-        def rows(z):
-            bz = np.matmul(s.B, z)
-            x = np.empty_like(bz)
-            x[:, 0] = ops[0].resolvent_rows(bz[:, 0])
-            for i in range(1, s.n):
-                x[:, i] = ops[i].resolvent_rows(bz[:, i] + np.matmul(s.L[i, :i], x[:, :i]))
-            return np.matmul(s.Tz, z) + np.matmul(s.Tx, x)
-        image.rows = rows
+        image.rows = lambda z: _stacked(s, ops, z)
     return image
+
+
+def _stacked(s, ops, z):
+    # T_out of each point of a (k, d, dim) stack z, operator i mapping rows by ops[i]
+    bz = np.matmul(s.B, z)
+    x = np.empty_like(bz)
+    x[:, 0] = ops[0].resolvent_rows(bz[:, 0])
+    for i in range(1, s.n):
+        x[:, i] = ops[i].resolvent_rows(bz[:, i] + np.matmul(s.L[i, :i], x[:, :i]))
+    return np.matmul(s.Tz, z) + np.matmul(s.Tx, x)
 
 
 @dataclass(frozen=True)
@@ -285,6 +290,37 @@ def solve_scheme(s, ops, z0=None, tol=1e-10, max_iter=100000, dim=None):
     step, final = _sweeps(update_map(s, ops), z, 1.0)
     k, reason = iterate(step, None, max_iter, tol)
     return final()[0], reason == "tol", reason in DIVERGED, k
+
+
+def solve_stack(s, op_lists, dim, tol=1e-10, max_iter=100000):
+    """:func:`solve_scheme` from ``z0 = 0`` for each operator list, in order, with its bits.
+
+    When every list holds ``s.n`` operators of type :class:`~minsplit.operators.AffineOp`
+    and size ``dim``, the searches sweep as one ``(k, d, dim)`` stack, each leaving it at
+    its own stop sweep; otherwise each list is solved alone.
+    """
+    stacks = [AffineStack.of(col, dim) for col in zip(*op_lists)]
+    if set(map(len, op_lists)) != {s.n} or None in stacks:
+        return [solve_scheme(s, ops, tol=tol, max_iter=max_iter, dim=dim) for ops in op_lists]
+    check_budget(dim, "dim")
+    if not tol >= 0:
+        raise ParameterError(f"tol must be nonnegative, got {tol}")
+    check_budget(max_iter, "max_iter")
+    k, z = 0, np.zeros((len(op_lists), s.d, dim))
+    live, out = list(range(len(op_lists))), [None] * len(op_lists)
+    while live:
+        k += 1
+        t = _stacked(s, stacks, z)
+        reasons = [stop_reason(r, tol, k, max_iter) for r in _norms(t - z)]
+        for j, tj, reason in zip(live, t, reasons):
+            if reason is not None:
+                out[j] = (tj, reason == "tol", reason in DIVERGED, k)
+        keep = [row for row, reason in enumerate(reasons) if reason is None]
+        if len(keep) < len(live):
+            live, t = [live[row] for row in keep], t[keep]
+            stacks = [stack.take(keep) for stack in stacks]
+        z = t
+    return out
 
 
 def save_scheme(s, path):

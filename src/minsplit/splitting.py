@@ -150,6 +150,16 @@ def iterate(step, trace, max_iter, tol=0.0, stop="residual", watch="residual"):
     return k, reason
 
 
+def stop_reason(r, tol, k, max_iter):
+    """The reason :func:`iterate` gives at sweep ``k`` of ``max_iter`` for a row holding ``r``
+    under both ``stop`` and ``watch``, or ``None`` where it sweeps on."""
+    if not math.isfinite(r) or r > DIVERGENCE_CAP:
+        return "diverged" if math.isfinite(r) else "non_finite"
+    if tol > 0.0 and r <= tol:
+        return "tol"
+    return "max_iter" if k >= max_iter else None
+
+
 def _solve_report(step, max_iter, tol, final, stop="residual"):
     # iterate until row[stop] <= tol; final() gives (z, x, final_x)
     trace = ResidualTrace(["residual"] if stop == "residual" else ["residual", stop])

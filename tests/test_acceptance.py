@@ -34,7 +34,6 @@ from minsplit import (
     pdhg_solve,
     pdhg_stepsizes,
     pr_solve,
-    quadratic_block,
     rpca_problem,
     run_protocol,
     eval_scheme,
@@ -44,7 +43,7 @@ from minsplit import (
     witness_from_point,
     ryu4_scheme,
 )
-from conftest import affine_ops
+from conftest import affine_ops, quadratic_block
 
 
 def test_criterion_1_averagedness_inequality():

@@ -18,7 +18,6 @@ from minsplit import (
     consensus_spread,
     cycle_laplacian,
     dual_ops,
-    firmness_gap,
     gen_consensus,
     gen_rpca,
     identity_prox_block,
@@ -29,13 +28,12 @@ from minsplit import (
     pdhg_stepsizes,
     prox_abs,
     prox_l1,
-    quadratic_block,
     rpca_problem,
 )
 from minsplit.admm import _DualBlockOp
 from minsplit.errors import ParameterError, SubproblemError
 
-from conftest import count_calls
+from conftest import count_calls, firmness_gap, quadratic_block
 
 
 def quad_problem(n_blocks, m, seed, ridge=0.4):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from minsplit import cycle_laplacian, op_norm, solve_small, svd
-from minsplit.errors import MinsplitError, ParameterError, ShapeError, SingularMatrixError
+from minsplit import cycle_laplacian, op_norm, svd
+from minsplit.errors import MinsplitError, ParameterError, ShapeError
 from minsplit.linalg import as_matrix, as_vector
+
+from conftest import SingularMatrixError, solve_small
 
 
 def test_svd_identity():

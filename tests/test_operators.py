@@ -12,22 +12,19 @@ from minsplit import (
     AffineOp,
     MonotoneOp,
     PartialMatrix,
-    PointIndicator,
     ProxOp,
     SepProblem,
     ZeroOp,
     dual_ops,
-    firmness_gap,
     prox_abs,
     prox_l1,
     prox_nuclear,
     project_partial_ball,
-    quadratic_block,
 )
 from minsplit.admm import _DualBlockOp
 from minsplit.errors import ParameterError, ShapeError
 
-from conftest import affine_ops
+from conftest import PointIndicator, affine_ops, firmness_gap, quadratic_block
 
 
 def grid_argmin(f, lo, hi, steps=400001):

@@ -9,7 +9,6 @@ from minsplit import (
     AffineMonotoneInstance,
     Prng,
     cycle_laplacian,
-    firmness_gap,
     gen_affine_monotone,
     gen_consensus,
     gen_rpca,
@@ -18,6 +17,9 @@ from minsplit import (
     svd,
 )
 from minsplit.errors import ParameterError
+
+from conftest import firmness_gap
+
 
 MASK = (1 << 64) - 1
 
@@ -222,6 +224,36 @@ def test_affine_monotone_recorded_zero():
         inst = gen_affine_monotone(4, 3, seed)
         total = sum(m @ inst.solution + c for m, c in zip(inst.mats, inst.offsets))
         assert np.linalg.norm(total) <= 1e-12
+
+
+def gen_affine_monotone_per_draw(n_ops, dim, seed, moduli):
+    # the generator as it drew before its bulk draws: one normals call per matrix or vector
+    prng = Prng(seed)
+    scale = 1.0 / np.sqrt(dim)
+    mats = []
+    for beta in moduli:
+        p = prng.normal_matrix(dim, dim) * scale
+        k = prng.normal_matrix(dim, dim) * scale
+        mats.append(p.T @ p + 0.5 * (k - k.T) + beta * np.eye(dim))
+    solution = prng.normals(dim)
+    offsets = [prng.normals(dim) for _ in range(n_ops - 1)]
+    total = sum(m @ solution for m in mats)
+    for c in offsets:
+        total = total + c
+    return mats, offsets + [-total], solution
+
+
+@given(n_ops=st.integers(1, 9), dim=st.integers(1, 7), seed=st.integers(0, 2**64 - 1),
+       data=st.data())
+def test_affine_monotone_bulk_draws_keep_the_per_draw_bits(n_ops, dim, seed, data):
+    moduli = data.draw(st.none() | st.lists(st.floats(0.0, 2.0), min_size=n_ops,
+                                            max_size=n_ops))
+    inst = gen_affine_monotone(n_ops, dim, seed, moduli=moduli)
+    mats, offsets, solution = gen_affine_monotone_per_draw(
+        n_ops, dim, seed, (0.0,) * n_ops if moduli is None else moduli)
+    assert [m.tobytes() for m in inst.mats] == [m.tobytes() for m in mats]
+    assert [c.tobytes() for c in inst.offsets] == [c.tobytes() for c in offsets]
+    assert inst.solution.tobytes() == solution.tobytes()
 
 
 def test_affine_monotone_monotonicity_certificate():

@@ -11,7 +11,6 @@ from minsplit import (
     AbsValue,
     AffineOp,
     MonotoneOp,
-    PointIndicator,
     Prng,
     ProxOp,
     ZeroOp,
@@ -42,7 +41,7 @@ from minsplit.splitting import (
     averagedness_sample,
 )
 
-from conftest import affine_ops, count_calls
+from conftest import PointIndicator, affine_ops, count_calls
 
 
 def zeros_ops(n):

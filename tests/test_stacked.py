@@ -1,13 +1,16 @@
-"""The averagedness sampler's stacked path against its point-at-a-time path.
+"""Stacked paths against their point-at-a-time references.
 
 When every operator offers ``resolvent_rows``, ``averagedness_check`` and
 ``scheme.image_map`` give maps that offer ``rows``, and the sampler maps each
 draw of up to 64 pairs as one stack.  The stack must give the same worst slack
-bits and leave the generator where the point-at-a-time path leaves it.  Batched
-``np.matmul`` equalling ``ndarray.dot`` is a property of the BLAS kernel, so
+bits and leave the generator where the point-at-a-time path leaves it.
+``scheme.solve_stack`` runs the fixed-point searches of many affine instances
+as one stack, and must give each instance ``solve_scheme``'s result, bit for bit.
+Batched ``np.matmul`` equalling ``ndarray.dot`` is a property of the BLAS kernel, so
 ``tests/test_blas_kernels.py`` reruns this file under the AVX2 kernels.
 """
 
+import math
 import os
 import tempfile
 from unittest import mock
@@ -31,11 +34,17 @@ from minsplit import (
     ryu3_scheme,
     ryu4_scheme,
     save_scheme,
+    solve_scheme,
+    solve_stack,
+    update_map,
 )
-from minsplit import splitting
-from minsplit.errors import ShapeError
+from minsplit import scheme, splitting
+from minsplit.errors import ParameterError, ShapeError
+from minsplit.operators import AffineStack
 from minsplit.scheme import image_map
-from minsplit.splitting import averagedness_sample
+from minsplit.splitting import DIVERGENCE_CAP, averagedness_sample, iterate, stop_reason
+
+from conftest import count_calls
 
 
 def drawn_scheme(data):
@@ -182,3 +191,140 @@ def test_one_row_per_operator_per_sampled_point(n, run):
     plain = [ProxOp(counted[0].resolvent)] + counted[1:]
     assert np.float64(run(plain, 3)).tobytes() == np.float64(got).tobytes()
     assert [(op.points, op.rows) for op in counted] == [(2 * PAIRS, 0)] * n
+
+
+def same_solves(got, want):
+    # (z bytes, converged, diverged, iterations) of each solve
+    assert len(got) == len(want)
+    for (z, *flags), (z_want, *flags_want) in zip(got, want):
+        assert z.shape == z_want.shape and z.tobytes() == z_want.tobytes()
+        assert flags == flags_want
+
+
+@given(kind=st.sampled_from(["mt_scheme", "ryu3", "ryu4", "drawn"]), dim=st.integers(1, 5),
+       k=st.integers(1, 12), max_iter=st.sampled_from([20000, 50, 2, 1]),
+       tol=st.sampled_from([1e-10, 1e-3, 0.0]), seed=st.integers(0, 2**32 - 1),
+       gamma=st.floats(0.05, 1.0), data=st.data())
+def test_solve_stack_equals_solve_scheme_bit_for_bit(kind, dim, k, max_iter, tol, seed, gamma,
+                                                     data):
+    if kind == "mt_scheme":
+        s = mt_scheme(data.draw(st.integers(2, 7)), gamma)
+    elif kind == "drawn":
+        s = drawn_scheme(data)
+    else:
+        s = (ryu3_scheme if kind == "ryu3" else ryu4_scheme)(gamma)
+    op_lists = [gen_affine_monotone(s.n, dim, seed + j).operators() for j in range(k)]
+    want = [solve_scheme(s, ops, dim=dim, tol=tol, max_iter=max_iter) for ops in op_lists]
+    same_solves(solve_stack(s, op_lists, dim, tol=tol, max_iter=max_iter), want)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_solve_stack_stops_on_the_residual_bits_at_tol(seed):
+    # tol is exactly the residual of instance 0 at a sweep, so a residual one ulp off
+    # moves its stop by a sweep
+    s, dim = mt_scheme(4, 0.5), 4
+    op_lists = [gen_affine_monotone(4, dim, 100 * seed + j).operators() for j in range(5)]
+    update, z, residuals = update_map(s, op_lists[0]), np.zeros((s.d, dim)), []
+    for _ in range(40):
+        z_next = update(z)[0]
+        residuals.append(splitting._norm(z_next - z))
+        z = z_next
+    tol = min(residuals[20:])
+    want = [solve_scheme(s, ops, dim=dim, tol=tol, max_iter=200) for ops in op_lists]
+    assert want[0][3] == 1 + next(k for k, r in enumerate(residuals) if r <= tol)
+    same_solves(solve_stack(s, op_lists, dim, tol=tol, max_iter=200), want)
+
+
+@given(dim=st.integers(1, 5), k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_affine_stack_rows_equal_each_resolvent(dim, k, seed, data):
+    # centred operators with signed-zero entries reach the one-entry case, where
+    # ndarray.dot would give -0.0 and @ gives +0.0
+    ops = [AffineOp(2.0 * np.eye(dim), np.zeros(dim)) if data.draw(st.booleans())
+           else gen_affine_monotone(1, dim, seed + j).operators()[0] for j in range(k)]
+    entries = st.sampled_from([-0.0, 0.0]) | st.floats(-1e3, 1e3)
+    ys = data.draw(hnp.arrays(np.float64, (k, dim), elements=entries))
+    stack = AffineStack.of(ops, dim)
+    want = np.array([op.resolvent(y) for op, y in zip(ops, ys)])
+    assert stack.resolvent_rows(ys).tobytes() == want.tobytes()
+    rows = sorted(data.draw(st.sets(st.integers(0, k - 1))))
+    assert stack.take(rows).resolvent_rows(ys[rows]).tobytes() == want[rows].tobytes()
+
+
+class Subclassed(AffineOp):
+    pass
+
+
+@pytest.mark.parametrize("ops, dim", [
+    ([], 2), ([ProxOp(lambda y, step: y)], 2), ([Subclassed(np.eye(2), np.zeros(2))], 2),
+    ([AffineOp(np.eye(2), np.zeros(2)), AffineOp(np.eye(3), np.zeros(3))], 2),
+    ([AffineOp(np.eye(2), np.zeros(2))], 3),
+], ids=["empty", "prox", "subclass", "mixed-dim", "other-dim"])
+def test_affine_stack_takes_only_affine_ops_of_its_dim(ops, dim):
+    assert AffineStack.of(ops, dim) is None
+
+
+# (residual, tol, max_iter): each stop rule, the boundaries of both tests, and the budget
+STOP_CASES = {
+    "nan": (math.nan, 1e-3, 3), "inf": (math.inf, 1e-3, 3), "-inf": (-math.inf, 1e-3, 3),
+    "cap": (DIVERGENCE_CAP, 1e-3, 3), "2 cap": (2 * DIVERGENCE_CAP, 1e-3, 3),
+    "r == tol": (1e-3, 1e-3, 3), "r > tol": (0.5, 1e-3, 3), "tol = 0": (0.0, 0.0, 3),
+    "nan at tol = 0": (math.nan, 0.0, 3), "one sweep": (0.5, 1e-3, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_stop_reason_is_iterates_rule(case):
+    r, tol, max_iter = STOP_CASES[case]
+    k = next(k for k in range(1, max_iter + 1) if stop_reason(r, tol, k, max_iter))
+    assert (k, stop_reason(r, tol, k, max_iter)) == iterate(lambda: {"residual": r}, None,
+                                                            max_iter, tol)
+
+
+@pytest.mark.parametrize("bad", [dict(tol=-1.0), dict(tol=math.nan), dict(max_iter=0),
+                                 dict(max_iter=2.5), dict(dim=0), dict(dim=4.0)],
+                         ids=["tol -1", "tol nan", "max_iter 0", "max_iter 2.5", "dim 0",
+                              "dim 4.0"])
+def test_solve_stack_rejects_what_solve_scheme_rejects(bad):
+    s, args = mt_scheme(3, 0.5), {"dim": 4, "tol": 1e-10, "max_iter": 10, **bad}
+    op_lists = [gen_affine_monotone(3, 4, seed).operators() for seed in (1, 2)]
+    with pytest.raises(ParameterError) as want:
+        solve_scheme(s, op_lists[0], **args)
+    with pytest.raises(ParameterError) as got:
+        solve_stack(s, op_lists, **args)
+    assert str(got.value) == str(want.value)
+
+
+class ResolventCounter(MonotoneOp):
+    """An :class:`AffineOp` behind a counted resolvent, so not an ``AffineOp`` itself."""
+
+    def __init__(self, op):
+        self.op, self.calls = op, 0
+
+    def resolvent(self, y, step=1.0):
+        self.calls += 1
+        return self.op.resolvent(y, step)
+
+
+def test_one_plain_operator_sends_every_instance_through_solve_scheme(monkeypatch):
+    s = mt_scheme(4, 0.5)
+    op_lists = [gen_affine_monotone(4, 3, seed).operators() for seed in range(5)]
+    stacked = solve_stack(s, op_lists, 3)
+    rows = count_calls(monkeypatch, AffineStack, "resolvent_rows")
+    solves = count_calls(monkeypatch, scheme, "solve_scheme")
+    counted = ResolventCounter(op_lists[2][1])
+    op_lists[2][1] = counted
+    same_solves(solve_stack(s, op_lists, 3), stacked)
+    assert len(solves) == len(op_lists) and rows == []
+    assert counted.calls == stacked[2][3]  # one call per sweep of its instance
+
+
+def test_the_stack_maps_one_row_per_operator_per_sweep(monkeypatch):
+    s = mt_scheme(4, 0.5)
+    op_lists = [gen_affine_monotone(4, 3, seed).operators() for seed in range(5)]
+    rows = count_calls(monkeypatch, AffineStack, "resolvent_rows")
+    solves = count_calls(monkeypatch, scheme, "solve_scheme")
+    iterations = [it for *_, it in solve_stack(s, op_lists, 3)]
+    assert solves == [] and len(set(iterations)) > 1  # the instances leave at their own sweeps
+    assert len(rows) == s.n * max(iterations)
+    assert sum(len(ys) for _, ys in rows) == s.n * sum(iterations)

@@ -305,6 +305,10 @@ NAMED_ERRORS = {
                        "need 2 w blocks, 2 dual entries; got 1, 2"),
     "kkt_residual dual": (ShapeError, lambda: _kkt_run(2, 3),
                           "need 2 w blocks, 2 dual entries; got 2, 3"),
+    "kkt_residual w block length": (ShapeError, lambda: _kkt_run(2, 2, first=3),
+                                    "w block 0 must have shape (2,), got (3,)"),
+    "admm_solve metric_blocks 1": (ParameterError, lambda: _metric_blocks_run(1),
+                                   "metric_blocks must be distinct ints in 0..1, got 1"),
     **{f"admm_solve metric_blocks {blocks}": (
         ParameterError, lambda blocks=blocks: _metric_blocks_run(blocks),
         f"metric_blocks must be distinct ints in 0..1, got {list(blocks)}",
@@ -322,10 +326,12 @@ NAMED_ERRORS = {
 }
 
 
-def _kkt_run(w_blocks, dual_size):
+def _kkt_run(w_blocks, dual_size, first=2):
+    # w_blocks blocks, the first of length `first`, for a problem of two length-2 blocks
     p = SepProblem(blocks=(identity_prox_block(lambda u: u, 2, coercive=True),) * 2,
                    b=np.ones(2))
-    return kkt_residual(p, [np.zeros(2)] * w_blocks, np.zeros(dual_size))
+    w = [np.zeros(first)] + [np.zeros(2)] * (w_blocks - 1)
+    return kkt_residual(p, w, np.zeros(dual_size))
 
 
 def _metric_blocks_run(metric_blocks):
