@@ -11,14 +11,16 @@ Each of ``n`` nodes on a cycle privately holds one monotone operator; nodes
    send the output on to node ``i % n + 1`` and relax their owned block.
 
 Every node sends exactly two messages per round, one to each cycle
-neighbour; at ``n = 2`` both of node 1's go to node 2.  The arithmetic uses
-the same primitive grouping as :func:`minsplit.splitting.mt_step`, so the
-concatenated owned blocks reproduce the centralised iterates exactly, not
-merely to tolerance.
+neighbour; at ``n = 2`` both of node 1's go to node 2.  Each node chains and
+relaxes its entries in Python floats with :func:`minsplit.splitting.mt_step`'s
+operations in its order, resolving them by ``entry_resolvents(dim)`` or else by
+one ``resolvent`` call on an array, so the concatenated owned blocks reproduce
+the centralised iterates exactly (a NaN up to its sign), not merely to tolerance.
 
 The scheduler is synchronous and reliable.  Each round keeps one body per
 link (sender, receiver and kind), so no message outlives its round.  A node
-reads its lead off a link and uses its predecessor's X body as ``x_prev``.
+reads its lead off a link and takes ``x_prev`` from its predecessor's output,
+whose X body holds the same bits.
 """
 
 from dataclasses import dataclass, field
@@ -29,13 +31,12 @@ import numpy as np
 from .errors import ParameterError, ProtocolError
 from .splitting import (
     _check_gamma,
+    _checked_shape,
     _lifted,
     _norm,
     _solve_report,
-    chain_argument,
     check_budget,
     consensus_spread,  # unused here, but bench/tracing.py rebinds this module's copy
-    relaxed_update,
 )
 from .trace import format_float, write_csv
 
@@ -127,12 +128,27 @@ def run_round(nodes, gamma, round_index):
     uninitialised node state or adjacency violations.
     """
     _check_blocks(nodes)
-    return _round(nodes, gamma, round_index)[0]
+    return _round(nodes, gamma, round_index, _node_forms(nodes))[0]
 
 
-def _round(nodes, gamma, round_index):
+def _node_forms(nodes):
+    # each node's float form, its dim entry resolvents, or None for one array call
+    dim = len(nodes[-1].owned_z) if len(nodes) > 1 else 0  # one node fails in the round
+    forms = [getattr(node.op, "entry_resolvents", lambda dim: None)(dim) for node in nodes]
+    return [form if len(form or ()) == dim else None for form in forms]
+
+
+def _resolve(node, form, arg):
+    # the node's resolvent of the float list ``arg``, entry by entry or in one array call
+    if form is not None:
+        return np.array([res(a) for res, a in zip(form, arg)])
+    return _checked_shape(node.op.resolvent(np.array(arg)), (len(arg),), "node {}", node.node_id)
+
+
+def _round(nodes, gamma, round_index, forms):
     # the log and the new blocks as one array, whose rows are the z_updates
     _check_gamma(gamma)
+    gamma = float(gamma)
     n = len(nodes)
     log = RoundLog(round_index=round_index)
     mail = _Mailbox(n, log)
@@ -141,16 +157,31 @@ def _round(nodes, gamma, round_index):
     for node in nodes[1:]:
         send(node.node_id, node.node_id - 1, Z_PASS, node.owned_z)
     # step 2: node 1 applies its resolvent and sends to both neighbours
-    x = nodes[0].last_x = nodes[0].op.resolvent(receive(1, 2, Z_PASS))
-    x_prev = log.x_values[1] = send(1, 2, X_PASS, x)
+    x = nodes[0].last_x = _resolve(nodes[0], forms[0], receive(1, 2, Z_PASS).tolist())
+    x_prev = x.tolist()
+    log.x_values[1] = send(1, 2, X_PASS, x)
     send(1, n, X_PASS, x)
-    # step 3: nodes 2..n in order; node n leads with node 1's output and reports back to it
+    # step 3: nodes 2..n in order; node n leads with node 1's output and reports back to it.
+    # Per entry, mt_step's operations: resolve lead + (x_prev - z), relax z with x - x_prev
     for i in range(2, n + 1):
-        node = nodes[i - 1]
-        lead = receive(i, i % n + 1, Z_PASS if i < n else X_PASS)
-        x = node.last_x = node.op.resolvent(chain_argument(lead, node.owned_z, x_prev))
-        node.owned_z = relaxed_update(node.owned_z, x, x_prev, gamma)
-        x_prev = log.x_values[i] = send(i, i % n + 1, X_PASS, x)
+        node, form = nodes[i - 1], forms[i - 1]
+        lead = receive(i, i % n + 1, Z_PASS if i < n else X_PASS).tolist()
+        zs = node.owned_z.tolist()
+        if form is None:
+            x = _resolve(node, form, [a + (p - z) for a, z, p in zip(lead, zs, x_prev)])
+            xs = x.tolist()
+            zn = [v + (z - p) if gamma == 1.0 else z + gamma * (v - p)
+                  for v, z, p in zip(xs, zs, x_prev)]
+        else:  # one pass over the entries: chain, resolve, relax
+            xs, zn = [], []
+            for res, a, z, p in zip(form, lead, zs, x_prev):
+                v = res(a + (p - z))
+                xs.append(v)
+                zn.append(v + (z - p) if gamma == 1.0 else z + gamma * (v - p))
+            x = np.array(xs)
+        node.last_x, node.owned_z = x, np.array(zn)
+        log.x_values[i] = send(i, i % n + 1, X_PASS, x)
+        x_prev = xs
     z_next = gathered_z(nodes)
     log.z_updates = dict(zip(range(2, n + 1), z_next))
     return log, z_next
@@ -170,10 +201,11 @@ def run_protocol(nodes, gamma, rounds, tol=0.0):
     logs = []
     _check_blocks(nodes)
     z = gathered_z(nodes)
+    forms = _node_forms(nodes)  # bound once per run
 
     def step():
         nonlocal z
-        log, z_next = _round(nodes, gamma, len(logs) + 1)
+        log, z_next = _round(nodes, gamma, len(logs) + 1, forms)
         logs.append(log)
         residual = _norm(z_next - z) / gamma
         z = z_next

@@ -112,7 +112,8 @@ class MonotoneOp:
 
     Subclasses must implement :meth:`resolvent`; the solvers use no other interface except
     its optional pure-float forms, which only :class:`AbsValue` offers: ``resolvent_scalar``,
-    and ``entry_resolvents(dim)`` per entry; and ``resolvent_rows`` on a ``(k, dim)`` stack,
+    and ``entry_resolvents(dim)`` per entry, for ``mt_solve``'s column sweeps and for each node
+    of the network round; and ``resolvent_rows`` on a ``(k, dim)`` stack,
     which :class:`AffineOp` offers for the averagedness sampler, and :class:`AffineStack`
     (operator ``i`` of ``k`` instances, row ``j`` by instance ``j``) for ``verify``'s solves.
     """

@@ -170,7 +170,10 @@ def _solve_report(step, max_iter, tol, final, stop="residual"):
 
 
 def _check_gamma(gamma, hi=1.0, include_hi=True):
-    ok = 0.0 < gamma <= hi if include_hi else 0.0 < gamma < hi
+    try:
+        ok = 0.0 < gamma <= hi if include_hi else 0.0 < gamma < hi
+    except TypeError:  # not a real number
+        ok, gamma = False, repr(gamma)
     if not ok:
         bracket = "]" if include_hi else ")"
         raise ParameterError(f"gamma must lie in (0, {hi}{bracket}, got {gamma}")
@@ -221,14 +224,20 @@ def mt_step(z, ops, gamma):
     return _mt_sweep(_lifted(z, n - 1, None), [op.resolvent for op in ops], gamma)
 
 
+def _checked_shape(x, shape, of, i):
+    # x, the resolvent output of of.format(i), unless its shape is not its argument's shape
+    if np.shape(x) != shape:
+        raise ShapeError(f"{of.format(i)} resolvent returned shape {np.shape(x)}, expected {shape}")
+    return x
+
+
 def _mt_sweep(z, resolvents, gamma):
     # mt_step on blocks z[i], each a point or a stack the resolvents map row by row
-    n = len(resolvents)
-    x = np.empty((n, *z.shape[1:]))
-    x[0] = resolvents[0](z[0])
-    for i in range(1, n - 1):
-        x[i] = resolvents[i](chain_argument(z[i], z[i - 1], x[i - 1]))
-    x[n - 1] = resolvents[n - 1](chain_argument(x[0], z[n - 2], x[n - 2]))
+    n, shape = len(resolvents), z.shape[1:]
+    x = np.empty((n, *shape))
+    for i, res in enumerate(resolvents):
+        arg = z[0] if i == 0 else chain_argument(z[i] if i < n - 1 else x[0], z[i - 1], x[i - 1])
+        x[i] = _checked_shape(res(arg), shape, "ops[{}]", i)
     return relaxed_update(z, x[1:], x[:-1], gamma), x
 
 

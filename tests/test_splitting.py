@@ -634,6 +634,8 @@ class CountingEntryOp(CountingScalarOp):
 CALL_SOLVES = {
     "mt_solve": lambda ops, dim: mt_solve(ops, gamma=0.9, dim=dim, tol=1e-8, max_iter=300),
     "pr_solve": lambda ops, dim: pr_solve(ops, dim=dim, tol=1e-8, max_iter=300),
+    "run_protocol": lambda ops, dim: run_protocol(
+        make_nodes(ops, np.zeros((len(ops) - 1, dim))), 0.9, 300, tol=1e-8)[0],
 }
 
 
@@ -654,9 +656,11 @@ def test_one_resolvent_call_per_operator_per_sweep(name, n, path):
     for op in ops:
         if path == "float" and name == "mt_solve":
             assert (op.scalar_calls, op.array_calls) == (k, 0)
-        elif path == "column dim 2" and name == "mt_solve":
+        elif path == "column dim 2" and name != "pr_solve":
+            # entry_resolvents resets the counts, so [k] * dim also pins one binding per run
             assert (op.entry_calls, op.scalar_calls, op.array_calls) == ([k] * dim, 0, 0)
-        else:  # pr_solve stops on the spread, which only the array path computes per sweep
+        else:  # pr_solve stops on the spread, which only the array path computes per sweep;
+            # a protocol node without entry_resolvents makes one array call per round
             assert (sum(op.entry_calls), op.scalar_calls, op.array_calls) == (0, 0, k)
 
 

@@ -323,7 +323,39 @@ NAMED_ERRORS = {
                           "subset needs 0 <= k <= n, got k=-1, n=5"),
     "Prng.subset k > n": (ParameterError, lambda: Prng(7).subset(3, 5),
                           "subset needs 0 <= k <= n, got k=5, n=3"),
+    **{f"mt_solve resolvent {shape}": (
+        ShapeError, lambda shape=shape: mt_solve(_shape_ops(shape), dim=2, max_iter=3),
+        f"ops[1] resolvent returned shape {shape}, expected (2,)",
+    ) for shape in [(1,), (), (3,)]},
+    **{f"run_protocol resolvent {shape}": (
+        ShapeError, lambda shape=shape: run_protocol(
+            make_nodes(_shape_ops(shape), np.zeros((2, 2))), 0.9, 3),
+        f"node 2 resolvent returned shape {shape}, expected (2,)",
+    ) for shape in [(1,), (), (3,)]},
+    "run_protocol gamma '0.9'": (
+        ParameterError,
+        lambda: run_protocol(make_nodes(_shape_ops((2,)), np.zeros((2, 2))), "0.9", 2),
+        "gamma must lie in (0, 1.0], got '0.9'"),
+    "mt_solve gamma None": (ParameterError, lambda: mt_solve(_shape_ops((2,)), gamma=None, dim=2),
+                            "gamma must lie in (0, 1.0), got None"),
+    "ryu3_solve gamma 1j": (ParameterError, lambda: ryu3_solve(_shape_ops((2,)), gamma=1j, dim=2),
+                            "gamma must lie in (0, 1.0), got 1j"),
+    "product_dr_solve gamma [0.5]": (
+        ParameterError, lambda: product_dr_solve(_shape_ops((2,)), gamma=[0.5], dim=2),
+        "gamma must lie in (0, 1.0], got [0.5]"),
+    "admm_solve gamma 'x'": (ParameterError, lambda: admm_solve(_identity_problem(), gamma="x"),
+                             "gamma must lie in (0, 1.0), got 'x'"),
 }
+
+
+def _shape_ops(shape):
+    # at dim 2, an operator whose resolvent returns ``shape`` between two identities
+    return [ZeroOp(), ProxOp(lambda y, step: np.full(shape, 0.5)), ZeroOp()]
+
+
+def _identity_problem():
+    block = identity_prox_block(lambda u: u, 2, coercive=True)
+    return SepProblem(blocks=(block, block), b=np.ones(2))
 
 
 def _kkt_run(w_blocks, dual_size, first=2):
