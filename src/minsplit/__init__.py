@@ -65,12 +65,10 @@ from .problems import (
     gen_rpca,
 )
 from .scheme import (
-    KernelWitness,
     SchemeMatrices,
     SolutionMappingReport,
     check_solution_mapping,
     eval_scheme,
-    kernel_residuals,
     lifting_ok,
     load_scheme,
     mt_scheme,
@@ -80,7 +78,6 @@ from .scheme import (
     solve_scheme,
     solve_stack,
     update_map,
-    witness_from_point,
 )
 from .splitting import (
     SolveReport,

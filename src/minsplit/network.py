@@ -32,6 +32,7 @@ from .errors import ParameterError, ProtocolError
 from .splitting import (
     _check_gamma,
     _checked_shape,
+    _entry_forms,
     _lifted,
     _norm,
     _solve_report,
@@ -134,8 +135,7 @@ def run_round(nodes, gamma, round_index):
 def _node_forms(nodes):
     # each node's float form, its dim entry resolvents, or None for one array call
     dim = len(nodes[-1].owned_z) if len(nodes) > 1 else 0  # one node fails in the round
-    forms = [getattr(node.op, "entry_resolvents", lambda dim: None)(dim) for node in nodes]
-    return [form if len(form or ()) == dim else None for form in forms]
+    return _entry_forms([node.op for node in nodes], dim)
 
 
 def _resolve(node, form, arg):

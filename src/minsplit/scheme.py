@@ -12,9 +12,9 @@ matrices acting blockwise on lifted points:
 This module executes such schemes generically (:func:`update_map` gives
 ``T(z)`` and ``x`` alone, :func:`image_map` ``T(z)`` alone, also on stacks of
 points, and :func:`solve_stack` runs the fixed-point searches of many affine
-instances as one stack), certifies their structural identities
-numerically (kernel residuals of a block matrix, the consensus/averaging
-conditions of the solution map), validates the lifting dimension lower
+instances as one stack), certifies a fixed point numerically from one
+evaluation (its drift ``||T(z) - z||`` and the consensus/averaging conditions
+of the solution map), validates the lifting dimension lower
 bound ``d >= n - 1`` for ``n >= 2``, and owns the plain-text scheme file
 format (:func:`save_scheme`, :func:`load_scheme`).
 """
@@ -26,7 +26,9 @@ import numpy as np
 
 from .errors import NotAFixedPointError, ParameterError, SchemeParseError, ShapeError, check_budget
 from .operators import AffineStack
-from .splitting import DIVERGED, _lifted, _norms, _sweeps, consensus_spread, iterate, stop_reason
+from .splitting import (
+    DIVERGED, _checked_shape, _lifted, _norms, _sweeps, consensus_spread, iterate, stop_reason,
+)
 from .trace import write_rows
 
 
@@ -147,13 +149,13 @@ def _compiled(s, ops):
     rest = [(i, op.resolvent, getattr(s.L[i, :i], mul)) for i, op in enumerate(ops)][1:]
 
     def sweep(z):
-        bz = b(z)
-        x = np.empty((s.n, z.shape[1]))
+        bz, shape = b(z), z.shape[1:]
+        x = np.empty((s.n, *shape))
         y = [bz[0]]
-        x[0] = ops[0].resolvent(bz[0])
+        x[0] = _checked_shape(ops[0].resolvent(bz[0]), shape, "ops[{}]", 0)
         for i, res, low in rest:
             y.append(bz[i] + low(x[:i]))
-            x[i] = res(y[i])
+            x[i] = _checked_shape(res(y[i]), shape, "ops[{}]", i)
         return tz(z) + tx(x), x, y
 
     return sweep
@@ -201,41 +203,6 @@ def _stacked(s, ops, z):
 
 
 @dataclass(frozen=True)
-class KernelWitness:
-    """Candidate kernel element ``v = (z, x, y, a)`` of the block identity matrix."""
-
-    z: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    a: np.ndarray
-
-
-def witness_from_point(s, z, ops):
-    """Assemble a witness from a scheme evaluation at ``z``.
-
-    The subgradient block is recovered as ``a = y - x``, which is the
-    element of ``A(x)`` selected by the resolvent evaluations.
-    """
-    _, _, x, y = eval_scheme(s, z, ops)
-    return KernelWitness(z=_lifted(z, s.d, None), x=x, y=y, a=y - x)
-
-
-def kernel_residuals(s, w):
-    """Block-row residual norms of the kernel identity at a witness.
-
-    Returns ``(r1, r2, r3)`` with ``r1 = ||x - y + a||``,
-    ``r2 = ||B z + L x - y||`` and ``r3 = ||(Tz - I) z + Tx x||``
-    (Frobenius norms over blocks).  All three below tolerance certify the
-    witness numerically: the point is fixed and the resolvent/subgradient
-    data is consistent.
-    """
-    r1 = float(np.linalg.norm(w.x - w.y + w.a))
-    r2 = float(np.linalg.norm(s.B @ w.z + s.L @ w.x - w.y))
-    r3 = float(np.linalg.norm((s.Tz - np.eye(s.d)) @ w.z + s.Tx @ w.x))
-    return r1, r2, r3
-
-
-@dataclass(frozen=True)
 class SolutionMappingReport:
     """Numerical check of the solution-map structure at a fixed point."""
 
@@ -243,6 +210,7 @@ class SolutionMappingReport:
     solution_vs_mean_y: float
     inclusion_residual: float
     solution: np.ndarray
+    drift: float
 
 
 def check_solution_mapping(s, ops, z_fixed, fp_tol=1e-8):
@@ -250,8 +218,9 @@ def check_solution_mapping(s, ops, z_fixed, fp_tol=1e-8):
 
     At any fixed point the resolvent outputs must agree across blocks, the
     solution map must equal the average of the resolvent inputs, and the
-    recovered subgradients must sum to (numerically) zero.  Raises
-    :class:`NotAFixedPointError` when ``||T(z) - z|| > fp_tol``.
+    recovered subgradients ``a = y - x`` must sum to (numerically) zero.  The
+    report's ``drift`` is ``||T(z) - z||``; raises :class:`NotAFixedPointError`
+    when it exceeds ``fp_tol``.
     """
     t_out, s_out, x, y = eval_scheme(s, z_fixed, ops)
     drift = float(np.linalg.norm(t_out - _lifted(z_fixed, s.d, None)))
@@ -268,6 +237,7 @@ def check_solution_mapping(s, ops, z_fixed, fp_tol=1e-8):
         solution_vs_mean_y=s_vs_mean,
         inclusion_residual=inclusion,
         solution=s_out,
+        drift=drift,
     )
 
 

@@ -273,11 +273,18 @@ def _scalar_sweeps(ops, gamma, z0):
     return step, lambda: (np.asarray(z)[:, None], np.asarray(x)[:, None], np.array(x[:1]))
 
 
+def _entry_forms(ops, dim):
+    # each op's entry_resolvents(dim) when it gives dim entries, else None: the one selection
+    # for the column sweep and the protocol round, each binding once per solve or run
+    return [form if len(form or ()) == dim else None
+            for form in (getattr(op, "entry_resolvents", lambda dim: None)(dim) for op in ops)]
+
+
 def _column_sweeps(ops, gamma, z):
     # _scalar_sweeps' one pass per column j, through each op's resolvent of entry j (None
     # unless all offer dim); C-ordered blocks make the residual sum in the array order
-    entries = [getattr(op, "entry_resolvents", lambda dim: None)(z.shape[1]) for op in ops]
-    if not all(len(e or ()) == z.shape[1] for e in entries):
+    entries = _entry_forms(ops, z.shape[1])
+    if any(e is None for e in entries):
         return None
     columns = [(col[0], list(enumerate(col[1:], 1))) for col in zip(*entries)]
     zc = z.T.tolist()
@@ -324,6 +331,7 @@ def _split_solve(ops, gamma, z0, tol, max_iter, dim, stop="residual"):
     if len(ops) < 2:
         raise ParameterError(f"need at least 2 operators, got {len(ops)}")
     z = _lifted(z0, len(ops) - 1, dim, "z0")
+    gamma = float(gamma)  # a float32 gamma would make the float paths' iterates float32
     if stop == "spread":
         step, final = _sweeps(lambda z: mt_step(z, ops, gamma), z, gamma, spread=True)
     elif z.shape[1] == 1 and all(hasattr(op, "resolvent_scalar") for op in ops):
@@ -393,10 +401,10 @@ def ryu3_step(z, ops, gamma):
         raise ParameterError(f"scheme takes exactly 3 operators, got {len(ops)}")
     _check_gamma(gamma, include_hi=False)
     z = _lifted(z, 2, None)
-    x = np.empty((3, z.shape[1]))
-    x[0] = ops[0].resolvent(z[0])
-    x[1] = ops[1].resolvent(z[1] + x[0])
-    x[2] = ops[2].resolvent(x[0] - z[0] + x[1] - z[1])
+    x, shape = np.empty((3, z.shape[1])), z.shape[1:]
+    x[0] = _checked_shape(ops[0].resolvent(z[0]), shape, "ops[{}]", 0)
+    x[1] = _checked_shape(ops[1].resolvent(z[1] + x[0]), shape, "ops[{}]", 1)
+    x[2] = _checked_shape(ops[2].resolvent(x[0] - z[0] + x[1] - z[1]), shape, "ops[{}]", 2)
     z_next = z + gamma * (x[2] - x[:2])
     return z_next, x
 
@@ -427,7 +435,7 @@ def product_dr_solve(ops, gamma=0.9, z0=None, tol=1e-8, max_iter=100000, dim=Non
         p = z.mean(axis=0)
         refl = 2.0 * p - z
         for i in range(n):
-            x[i] = ops[i].resolvent(refl[i])
+            x[i] = _checked_shape(ops[i].resolvent(refl[i]), z.shape[1:], "ops[{}]", i)
         return z + gamma * (x - p), x
 
     step, final = _sweeps(sweep, z, gamma, lambda z, x: z.mean(axis=0))

@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from minsplit import mt_scheme, ryu3_scheme, save_scheme
+from minsplit import SchemeMatrices, mt_scheme, ryu3_scheme, save_scheme, scheme
 from minsplit.cli import main
 
 
@@ -148,28 +149,28 @@ def test_consensus_csv_bytes_are_golden(tmp_path, capsys, n, algorithms):
 # benchmark's own run), and a "file:" key reads a SAVED_SCHEMES entry back
 # from a scheme file instead (the saved ryu3 prints the builtin's bytes)
 GOLDEN_VERIFY = {
-    ("mt:4", 1): (0, "a2c54bc330f0103ad04442d1ab3ebd7fe68b463090b8c02771b02f6cd4c35082"),
-    ("mt:4", 2): (0, "9f197de3984fff05ece6d4e6b8e55531fe4a8805e1b8f038dca03b3de88704fd"),
-    ("mt:4", 3): (0, "17dc1d3cc7e1122c89cca6cd7e22f2c4e93baa0af0ee442c87f1cc5e4ef4e7cf"),
-    ("dr", 1): (0, "3767bded697481ad05ea25c1a179ec81de3f3cebf8385a8da86503636acfad58"),
-    ("dr", 2): (0, "8ae5abe156604002089647e2325e66684e107f011e45e0437af2b7cd105e1fe5"),
-    ("dr", 3): (0, "d9a25194e22bba9ae4b8d7972c0566af6211e64e8ec7391386fc9d148584c019"),
-    ("ryu3", 1): (1, "bee57ff734cf762eadfab8cc1a5842fa4787d583353e1a10dc217d11c224c784"),
-    ("ryu3", 2): (1, "238d7da306c86dcf63b8a21fe8bafc490fcf6b74af40801fd00e0120b24876c1"),
-    ("ryu3", 3): (1, "fb0c2e567c2c379cdab3687e491dc3676dab9081d43300a3355d4e5f6b941680"),
-    ("ryu4", 1): (1, "e110ed061bc245b31b4b2ea6d7d7dd0c0f522be39cd96bad2cf09dfa4f8cec40"),
-    ("ryu4", 2): (1, "3e180b60a3c652cb6de8bb658d99a4709fb7431b7aa632977500f52f0e515003"),
-    ("ryu4", 3): (1, "1997178cae5abd97d5ba07f8eabfc3a419977d0b0a3a854cc7dd1ec1be7f8e57"),
+    ("mt:4", 1): (0, "2be6cb21c30bc83a490e54cc508ff3e0ce7e5ec24d198b9542f7b7bf391277ef"),
+    ("mt:4", 2): (0, "f63e4065939ea0aeda5287c54e4fb2580663721b342584d9961be1b823b154a5"),
+    ("mt:4", 3): (0, "0d292e1cb3f21f88162d627cb37ed15aa3f35c6fc9eae4f529f134a40497d2b6"),
+    ("dr", 1): (0, "c84f0dd293dafa4bec5d52c5cdcf58e33e4c9f3382e75bc031fb93c6768b970e"),
+    ("dr", 2): (0, "09170abd212e5048decb001c9a76771489198ae395297a6644583e28efa98b90"),
+    ("dr", 3): (0, "f2b1e4269a8b22dfbdd147cc3adb6fdd9e5e47fb7910fb3a748ada68306eac0d"),
+    ("ryu3", 1): (1, "91526e2c72c7d02fc7efe24aecac30b2ba78cff3ec3adc6b01c12a63ad591bd1"),
+    ("ryu3", 2): (1, "acbaa5fd37401f639a227bc99965cd0f872ffe7d8bcdce6ae4e4b7a4493929d0"),
+    ("ryu3", 3): (1, "3bfbe21e0b9cb3fd63681a28e87978fb7d3482a895e4f0eb30048ae22b8bf6fa"),
+    ("ryu4", 1): (1, "c36dd21a5962946481a9422f2c9eb7f60b86bc7354e813b8cbd8fff11fca7d93"),
+    ("ryu4", 2): (1, "d59216dcaad3ff7bb73718e7d9d1eb787f2544a7feaf9a6bc4296abc297140de"),
+    ("ryu4", 3): (1, "4e977f008f784b8ceae2ca2748c4692ad81144e41d33115817fec5f0293247da"),
     ("mt:4 --dim 4 --trials 100", 1):
-        (0, "7e609f2af074f0c88e36a8d51f132ccf01fd173510e8ed446fb0c5dcbc89573e"),
+        (0, "d491cf6dfce4eb1617130fc6f42831deabfb9610cdb1660afb19e2537d938e6b"),
     ("mt:4 --dim 4 --trials 100", 2):
-        (0, "c03b6338648076b6baf841269032c579fac5445cdd0281e1c4a6c7264923d5be"),
+        (0, "4c1fbd3d7382ce4153861d0e9e7bf6e3f5268e8e955be6d4f5fc0148d0b61369"),
     ("mt:4 --dim 4 --trials 100", 3):
-        (0, "652df885079228639cdda06633a09065dbe6367a99663b3c8463d494b5a64df7"),
+        (0, "090d81f39886c0551c64998c483948bd35ff9bcfb37308663d854d46bfa0de67"),
     ("file:mt5 --gamma 0.6", 1):
-        (0, "f0d87af6f66f205e0c819221126c4dcf13ab84e2c8aad4a3223e73cdd8224847"),
+        (0, "2f19c4ae601cbadac30ee621dfebb7bc08cca56d4b39c43a910357f632894be1"),
     ("file:ryu3 --gamma 0.5", 1):
-        (1, "bee57ff734cf762eadfab8cc1a5842fa4787d583353e1a10dc217d11c224c784"),
+        (1, "91526e2c72c7d02fc7efe24aecac30b2ba78cff3ec3adc6b01c12a63ad591bd1"),
 }
 SAVED_SCHEMES = {"file:mt5": mt_scheme(5, 0.6), "file:ryu3": ryu3_scheme(0.5)}
 
@@ -226,6 +227,69 @@ def test_verify_rejects_underlifted_scheme(tmp_path, capsys):
                             "--trials", "10", "--dim", "2")
     assert rc == 1
     assert "lifting: FAIL" in stdout
+
+
+def _constant_x_scheme(n, d, tz, tx):
+    # B = L = 0, so each x_i is J_i(0) at every z, and T(z) = Tz z + Tx x
+    return SchemeMatrices(n=n, d=d, B=np.zeros((n, d)), L=np.zeros((n, n)), Tz=tz, Tx=tx,
+                          Sz=np.zeros((1, d)), Sx=np.zeros((1, n)))
+
+
+def _drift_stub(monkeypatch):
+    # no averaged map can fail the drift half alone: ||T(t) - t|| <= ||t - z|| <= 1e-10 at
+    # the stop, so this row reports each fixed point's drift as 2e-8
+    check = scheme.check_solution_mapping
+    monkeypatch.setattr(scheme, "check_solution_mapping",
+                        lambda *a, **k: dataclasses.replace(check(*a, **k), drift=2e-8))
+
+
+# one row per verdict line: an input, the lines that read FAIL (divergence: "detected"),
+# and the exit code.  Each single-line row fails that line alone
+VERDICT_ROWS = {
+    "none": ("mt:4", [], set(), 0),
+    # d = n-2 with Tz = I and a constant T(z) - z: no fixed point, so nothing else fails
+    "lifting": (_constant_x_scheme(4, 2, np.eye(2), np.eye(2, 4)), ["--max-iter", "5"],
+                {"lifting"}, 1),
+    "averagedness": ("ryu3", [], {"averagedness"}, 1),
+    # T(z) = z + c with |c| near 1e200: the sampler passes it, and its first residual overflows
+    "divergence": (_constant_x_scheme(2, 1, np.eye(1), np.array([[1e200, 0.0]])), [],
+                   {"divergence"}, 1),
+    "ryu4": ("ryu4", [], {"averagedness", "divergence"}, 1),
+    # the solution map doubles x_1, so S(z) misses the mean of y by |x*|
+    "solution-mapping": (dataclasses.replace(mt_scheme(4, 0.5), Sx=np.array([[2.0, 0, 0, 0]])),
+                         ["--gamma", "0.5"], {"solution-mapping"}, 1),
+    "solution-mapping drift": ("mt:4", [], {"solution-mapping"}, 1),  # by _drift_stub
+}
+
+
+@pytest.mark.parametrize("row", sorted(VERDICT_ROWS))
+def test_every_verify_verdict_has_an_input_that_fails_it(tmp_path, capsys, monkeypatch, row):
+    source, flags, failing, code = VERDICT_ROWS[row]
+    if row == "solution-mapping drift":
+        _drift_stub(monkeypatch)
+    if isinstance(source, str):
+        source = ["--builtin", source]
+    else:
+        save_scheme(source, tmp_path / "scheme.txt")
+        source = ["--scheme-file", str(tmp_path / "scheme.txt")]
+    with np.errstate(over="ignore"):  # the divergence row's residual overflows to inf
+        rc, stdout, _ = run_cli(capsys, "verify", *source, *flags, "--seed", "1")
+    verdicts = dict(line.split(" ", 1) for line in stdout.splitlines()[1:-1])
+    assert list(verdicts) == ["lifting:", "averagedness:", "divergence:", "solution-mapping:"]
+    failed = {name[:-1] for name, text in verdicts.items()
+              if text.startswith(("FAIL", "detected"))}
+    assert (failed, rc) == (failing, code)
+    assert stdout.splitlines()[-1] == f"overall: {'FAIL' if code else 'PASS'}"
+
+
+def test_verify_evaluates_each_fixed_point_once(capsys, monkeypatch):
+    calls = []
+    evaluate = scheme.eval_scheme
+    monkeypatch.setattr(scheme, "eval_scheme", lambda *a: calls.append(1) or evaluate(*a))
+    rc, stdout, _ = run_cli(capsys, "verify", "--builtin", "mt:4", "--trials", "100")
+    assert rc == 0
+    assert "divergence: not detected (10 fixed points reached)" in stdout
+    assert len(calls) == 10
 
 
 def test_verify_scheme_file_roundtrip(tmp_path, capsys):

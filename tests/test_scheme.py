@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from minsplit import (
     AffineOp,
-    KernelWitness,
     SchemeMatrices,
     ZeroOp,
     check_solution_mapping,
     eval_scheme,
     gen_affine_monotone,
-    kernel_residuals,
     lifting_ok,
     load_scheme,
     mt_scheme,
@@ -23,7 +21,6 @@ from minsplit import (
     save_scheme,
     solve_scheme,
     update_map,
-    witness_from_point,
 )
 from minsplit.errors import NotAFixedPointError, ParameterError, SchemeParseError, ShapeError
 
@@ -197,39 +194,6 @@ def test_eval_scheme_deterministic(rng):
 
 
 # ---------------------------------------------------------------------------
-# kernel witnesses
-
-
-def test_kernel_residuals_at_converged_fixed_point():
-    inst, ops = affine_ops(2, 3, seed=54)
-    report = mt_solve(ops, gamma=0.9, tol=1e-10, max_iter=100000, dim=3)
-    s = mt_scheme(2, gamma=0.9)
-    witness = witness_from_point(s, report.state.z, ops)
-    r1, r2, r3 = kernel_residuals(s, witness)
-    assert r1 <= 1e-8 and r2 <= 1e-8 and r3 <= 1e-8
-
-
-def test_kernel_residuals_zero_witness():
-    s = mt_scheme(3, gamma=0.9)
-    w = KernelWitness(
-        z=np.zeros((2, 1)), x=np.zeros((3, 1)), y=np.zeros((3, 1)), a=np.zeros((3, 1))
-    )
-    assert kernel_residuals(s, w) == (0.0, 0.0, 0.0)
-
-
-def test_kernel_residuals_detect_perturbation():
-    inst, ops = affine_ops(3, 2, seed=55)
-    report = mt_solve(ops, gamma=0.9, tol=1e-11, max_iter=100000, dim=2)
-    s = mt_scheme(3, gamma=0.9)
-    witness = witness_from_point(s, report.state.z, ops)
-    x_bad = witness.x.copy()
-    x_bad[1] += 1.0
-    bad = KernelWitness(z=witness.z, x=x_bad, y=witness.y, a=witness.a)
-    r1, r2, r3 = kernel_residuals(s, bad)
-    assert max(r1, r3) >= 0.5
-
-
-# ---------------------------------------------------------------------------
 # solution mapping
 
 
@@ -241,13 +205,14 @@ def test_solution_mapping_at_dr_fixed_point():
     assert rep.consensus_spread <= 1e-7
     assert rep.solution_vs_mean_y <= 1e-7
     assert rep.inclusion_residual <= 1e-7
+    assert rep.drift <= 1e-8
 
 
 def test_solution_mapping_zero_ops_spread_zero():
     s = mt_scheme(4, gamma=0.9)
     ops = [ZeroOp() for _ in range(4)]
     rep = check_solution_mapping(s, ops, np.zeros((3, 2)))
-    assert rep.consensus_spread == 0.0
+    assert (rep.consensus_spread, rep.drift) == (0.0, 0.0)
 
 
 def test_solution_mapping_mt4():
@@ -258,6 +223,17 @@ def test_solution_mapping_mt4():
     assert rep.solution_vs_mean_y <= 1e-7
     assert rep.consensus_spread <= 1e-7
     assert np.linalg.norm(rep.solution - inst.solution) <= 1e-6
+
+
+def test_solution_mapping_drift_is_the_residual_of_its_one_evaluation(rng):
+    # a point 1e-7 off the fixed point passes a loose fp_tol, and its drift shows it
+    inst, ops = affine_ops(3, 2, seed=55)
+    s = mt_scheme(3, gamma=0.9)
+    z = mt_solve(ops, gamma=0.9, tol=1e-11, max_iter=100000, dim=2).state.z
+    z = z + 1e-7 * rng.standard_normal(z.shape)
+    rep = check_solution_mapping(s, ops, z, fp_tol=1e-3)
+    assert rep.drift == float(np.linalg.norm(eval_scheme(s, z, ops)[0] - z))
+    assert rep.drift > 1e-8
 
 
 def test_solution_mapping_rejects_non_fixed_point(rng):

@@ -823,3 +823,16 @@ def test_column_sweep_equals_the_array_sweep(case, gamma, tol, max_iter):
         got = _split_solve(ops, gamma, z0, tol, max_iter, None)
         want = _split_solve([CountingOp(op) for op in ops], gamma, z0, tol, max_iter, None)
     assert _solve_bits(got) == _solve_bits(want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])  # resolvent_scalar at dim 1, entry_resolvents at 2
+def test_float32_gamma_keeps_the_float_paths_at_mt_step_bits(dim):
+    # mt_step's float64 arrays promote an np.float32 gamma, so the float sweeps must too
+    rng = np.random.default_rng(dim)
+    ops = [AbsValue(rng.standard_normal(dim)) for _ in range(5)]
+    state = mt_solve(ops, gamma=np.float32(0.9), dim=dim, tol=0, max_iter=5).state
+    z = np.zeros((4, dim))
+    for _ in range(5):
+        z, x = mt_step(z, ops, np.float32(0.9))
+    assert (state.z.dtype, state.x.dtype) == (np.float64, np.float64)
+    assert (state.z.tobytes(), state.x.tobytes()) == (z.tobytes(), x.tobytes())

@@ -38,6 +38,7 @@ from minsplit import (
     rpca_problem,
     run_protocol,
     ryu3_solve,
+    ryu3_step,
     solve_scheme,
 )
 from minsplit.cli import main
@@ -327,6 +328,14 @@ NAMED_ERRORS = {
         ShapeError, lambda shape=shape: mt_solve(_shape_ops(shape), dim=2, max_iter=3),
         f"ops[1] resolvent returned shape {shape}, expected (2,)",
     ) for shape in [(1,), (), (3,)]},
+    **{f"{name} resolvent {shape}": (
+        ShapeError, lambda run=run, shape=shape: run(_shape_ops(shape)),
+        f"ops[1] resolvent returned shape {shape}, expected (2,)",
+    ) for shape in [(1,), (), (3,)] for name, run in [
+        ("ryu3_step", lambda ops: ryu3_step(np.zeros((2, 2)), ops, 0.9)),
+        ("product_dr_solve", lambda ops: product_dr_solve(ops, dim=2, max_iter=3)),
+        ("eval_scheme", lambda ops: eval_scheme(mt_scheme(3), np.zeros((2, 2)), ops)),
+    ]},
     **{f"run_protocol resolvent {shape}": (
         ShapeError, lambda shape=shape: run_protocol(
             make_nodes(_shape_ops(shape), np.zeros((2, 2))), 0.9, 3),
