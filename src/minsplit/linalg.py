@@ -53,9 +53,6 @@ class SvdResult:
     sigma: np.ndarray
     vt: np.ndarray
 
-    def reconstruct(self):
-        return (self.u * self.sigma) @ self.vt
-
 
 def svd(x):
     """Thin SVD, as computed by ``numpy.linalg.svd``.

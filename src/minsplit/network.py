@@ -10,34 +10,27 @@ Each of ``n`` nodes on a cycle privately holds one monotone operator; nodes
    node 1's output), read node ``i-1``'s output, apply their resolvents,
    send the output on to node ``i % n + 1`` and relax their owned block.
 
-Every node sends exactly two messages per round, one to each cycle
-neighbour; at ``n = 2`` both of node 1's go to node 2.  Each node chains and
-relaxes its entries in Python floats with :func:`minsplit.splitting.mt_step`'s
-operations in its order, resolving them by ``entry_resolvents(dim)`` or else by
-one ``resolvent`` call on an array, so the concatenated owned blocks reproduce
-the centralised iterates exactly (a NaN up to its sign), not merely to tolerance.
+Every node sends exactly two messages per round, one to each cycle neighbour;
+at ``n = 2`` both of node 1's go to node 2.  Each node chains and relaxes its
+entries in Python floats with :func:`minsplit.splitting.mt_step`'s operations
+in its order, resolving them by ``entry_resolvents(dim)`` or else by one
+``resolvent`` call on an array, so the owned blocks reproduce the centralised
+iterates exactly (a NaN up to its sign), not merely to tolerance.
 
-The scheduler is synchronous and reliable.  Each round keeps one body per
-link (sender, receiver and kind), so no message outlives its round.  A node
-reads its lead off a link and takes ``x_prev`` from its predecessor's output,
-whose X body holds the same bits.
+The scheduler is synchronous and reliable.  A round keeps its traffic as data,
+not as one object per message: each send logs its link and float payload, and
+the round ends by making the payloads the rows of one float64 array.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, ProtocolError
-from .splitting import (
-    _check_gamma,
-    _checked_shape,
-    _entry_forms,
-    _lifted,
-    _norm,
-    _solve_report,
-    check_budget,
-    consensus_spread,  # unused here, but bench/tracing.py rebinds this module's copy
+from .splitting import (  # consensus_spread is unused here, but bench/tracing.py rebinds it
+    _check_gamma, _checked_shape, _entry_forms, _lifted, _norm, _solve_report, check_budget,
+    consensus_spread,
 )
 from .trace import format_float, write_csv
 
@@ -67,12 +60,31 @@ class Node:
 
 @dataclass
 class RoundLog:
-    """Everything observable about one protocol round."""
+    """Everything observable about one protocol round, kept as data: ``links`` holds
+    each message's sender, receiver and kind, flat in send order; ``bodies`` their
+    payloads as rows of one float64 array; ``x_rows`` the row of each node's first X
+    message; ``z`` a copy of the new blocks.  ``messages``, ``x_values`` and
+    ``z_updates`` are built from them on access, with row views as arrays."""
 
     round_index: int
-    messages: list = field(default_factory=list)
-    x_values: dict = field(default_factory=dict)
-    z_updates: dict = field(default_factory=dict)
+    links: list
+    bodies: np.ndarray
+    x_rows: list
+    z: np.ndarray
+
+    @property
+    def messages(self):
+        links = self.links
+        return tuple(Message(*link, body, self.round_index)
+                     for *link, body in zip(links[::3], links[1::3], links[2::3], self.bodies))
+
+    @property
+    def x_values(self):
+        return {i: self.bodies[row] for i, row in enumerate(self.x_rows, 1)}
+
+    @property
+    def z_updates(self):
+        return dict(zip(range(2, len(self.z) + 2), self.z))
 
 
 def make_nodes(ops, z0):
@@ -85,91 +97,80 @@ def make_nodes(ops, z0):
         Node(node_id=i, op=ops[i - 1], owned_z=z0[i - 2].copy()) for i in range(2, n + 1)]
 
 
-def _check_blocks(nodes):
-    for node in nodes[1:]:
-        if node.owned_z is None:
-            raise ProtocolError(f"node {node.node_id} has no initialised block")
-
-
 def gathered_z(nodes):
     """Concatenate the owned blocks of nodes 2..n into an (n-1, dim) array."""
     return np.array([node.owned_z for node in nodes[1:]])
 
 
 class _Mailbox:
-    """One round's bodies, one per ``(sender, receiver, kind)`` link.  At ``n = 2``
-    node 1's two X messages share one link: the later body replaces the earlier,
-    both hold the same bits, and the log keeps both messages."""
+    """One round's sends, each a link ``(sender, receiver, kind)`` and a float payload,
+    and the payload pending on each link.  At ``n = 2`` node 1's two X messages share
+    one link: the later payload replaces the earlier, and both sends are kept."""
 
-    def __init__(self, n, log):
-        self.n, self.log, self.bodies = n, log, {}
+    def __init__(self, n):
+        self.n, self.links, self.payloads, self.pending = n, [], [], {}
 
-    def send(self, from_node, to_node, kind, body):
-        """Post and log a private copy of ``body``; returns that copy."""
+    def send(self, from_node, to_node, kind, payload):
+        """Post the float list ``payload``; returns its row among the round's bodies."""
         if (to_node - from_node) % self.n not in (1, self.n - 1):
             raise ProtocolError(f"node {from_node} may not message node {to_node} on the cycle")
-        # tuple.__new__ makes the same Message without namedtuple's Python-level __new__
-        msg = tuple.__new__(Message, (from_node, to_node, kind, body.copy(), self.log.round_index))
-        self.log.messages.append(msg)
-        self.bodies[from_node, to_node, kind] = msg.body
-        return msg.body
+        link = (from_node, to_node, kind)
+        self.links += link
+        self.payloads.append(payload)
+        self.pending[link] = payload
+        return len(self.payloads) - 1
 
     def receive(self, to_node, from_node, kind):
-        """Take the body on the link from ``from_node`` to ``to_node``."""
-        body = self.bodies.pop((from_node, to_node, kind), None)
-        if body is None:
+        """Take the payload on the link from ``from_node`` to ``to_node``."""
+        payload = self.pending.pop((from_node, to_node, kind), None)
+        if payload is None:
             raise ProtocolError(f"node {to_node} expected a {kind} message from node {from_node}")
-        return body
+        return payload
 
 
 def run_round(nodes, gamma, round_index):
-    """Execute one synchronous protocol round in place.
-
-    Returns a :class:`RoundLog`; raises :class:`ProtocolError` on
-    uninitialised node state or adjacency violations.
-    """
-    _check_blocks(nodes)
-    return _round(nodes, gamma, round_index, _node_forms(nodes))[0]
+    """Execute one synchronous protocol round in place and return its :class:`RoundLog`;
+    raises :class:`ProtocolError` on uninitialised node state or adjacency violations."""
+    return _round(nodes, gamma, round_index, _node_forms(nodes))
 
 
 def _node_forms(nodes):
-    # each node's float form, its dim entry resolvents, or None for one array call
-    dim = len(nodes[-1].owned_z) if len(nodes) > 1 else 0  # one node fails in the round
-    return _entry_forms([node.op for node in nodes], dim)
+    # each node's float form, its dim entry resolvents or None for one array call, once
+    # every block is set; a one-node cycle fails in the round, on its missing message
+    for node in nodes[1:]:
+        if node.owned_z is None:
+            raise ProtocolError(f"node {node.node_id} has no initialised block")
+    return _entry_forms([node.op for node in nodes], len(nodes[-1].owned_z) if nodes[1:] else 0)
 
 
 def _resolve(node, form, arg):
-    # the node's resolvent of the float list ``arg``, entry by entry or in one array call
+    # the node's resolvent of the float list ``arg`` as floats, entry by entry or in one array call
     if form is not None:
-        return np.array([res(a) for res, a in zip(form, arg)])
-    return _checked_shape(node.op.resolvent(np.array(arg)), (len(arg),), "node {}", node.node_id)
+        return [res(a) for res, a in zip(form, arg)]
+    x = _checked_shape(node.op.resolvent(np.array(arg)), (len(arg),), "node {}", node.node_id)
+    return x.tolist()
 
 
 def _round(nodes, gamma, round_index, forms):
-    # the log and the new blocks as one array, whose rows are the z_updates
+    # the round's log; its z, a copy of the new blocks, holds the z_updates as rows
     _check_gamma(gamma)
-    gamma = float(gamma)
-    n = len(nodes)
-    log = RoundLog(round_index=round_index)
-    mail = _Mailbox(n, log)
+    gamma, n = float(gamma), len(nodes)
+    mail = _Mailbox(n)
     send, receive = mail.send, mail.receive
     # step 1: owned blocks travel to the predecessor
-    for node in nodes[1:]:
-        send(node.node_id, node.node_id - 1, Z_PASS, node.owned_z)
+    zs_old = [node.owned_z.tolist() for node in nodes[1:]]
+    for i, zs in enumerate(zs_old, 2):
+        send(i, i - 1, Z_PASS, zs)
     # step 2: node 1 applies its resolvent and sends to both neighbours
-    x = nodes[0].last_x = _resolve(nodes[0], forms[0], receive(1, 2, Z_PASS).tolist())
-    x_prev = x.tolist()
-    log.x_values[1] = send(1, 2, X_PASS, x)
-    send(1, n, X_PASS, x)
+    x_prev = _resolve(nodes[0], forms[0], receive(1, 2, Z_PASS))
+    x_rows, zs_new = [send(1, 2, X_PASS, x_prev)], []
+    send(1, n, X_PASS, x_prev)
     # step 3: nodes 2..n in order; node n leads with node 1's output and reports back to it.
     # Per entry, mt_step's operations: resolve lead + (x_prev - z), relax z with x - x_prev
-    for i in range(2, n + 1):
-        node, form = nodes[i - 1], forms[i - 1]
-        lead = receive(i, i % n + 1, Z_PASS if i < n else X_PASS).tolist()
-        zs = node.owned_z.tolist()
+    for i, form, zs in zip(range(2, n + 1), forms[1:], zs_old):
+        lead = receive(i, i % n + 1, Z_PASS if i < n else X_PASS)
         if form is None:
-            x = _resolve(node, form, [a + (p - z) for a, z, p in zip(lead, zs, x_prev)])
-            xs = x.tolist()
+            xs = _resolve(nodes[i - 1], form, [a + (p - z) for a, z, p in zip(lead, zs, x_prev)])
             zn = [v + (z - p) if gamma == 1.0 else z + gamma * (v - p)
                   for v, z, p in zip(xs, zs, x_prev)]
         else:  # one pass over the entries: chain, resolve, relax
@@ -178,13 +179,16 @@ def _round(nodes, gamma, round_index, forms):
                 v = res(a + (p - z))
                 xs.append(v)
                 zn.append(v + (z - p) if gamma == 1.0 else z + gamma * (v - p))
-            x = np.array(xs)
-        node.last_x, node.owned_z = x, np.array(zn)
-        log.x_values[i] = send(i, i % n + 1, X_PASS, x)
+        zs_new.append(zn)
+        x_rows.append(send(i, i % n + 1, X_PASS, xs))
         x_prev = xs
-    z_next = gathered_z(nodes)
-    log.z_updates = dict(zip(range(2, n + 1), z_next))
-    return log, z_next
+    # one conversion each: the bodies, then the outputs and blocks as node state
+    bodies, z_next = np.array(mail.payloads, dtype=float), np.array(zs_new)
+    for node, x in zip(nodes, bodies[x_rows]):
+        node.last_x = x
+    for node, z in zip(nodes[1:], z_next):
+        node.owned_z = z
+    return RoundLog(round_index, mail.links, bodies, x_rows, z_next.copy())
 
 
 def run_protocol(nodes, gamma, rounds, tol=0.0):
@@ -198,18 +202,14 @@ def run_protocol(nodes, gamma, rounds, tol=0.0):
     ``rounds`` passes :func:`minsplit.splitting.check_budget`.
     """
     check_budget(rounds, "rounds")
-    logs = []
-    _check_blocks(nodes)
-    z = gathered_z(nodes)
     forms = _node_forms(nodes)  # bound once per run
+    z, logs = gathered_z(nodes), []
 
     def step():
         nonlocal z
-        log, z_next = _round(nodes, gamma, len(logs) + 1, forms)
-        logs.append(log)
-        residual = _norm(z_next - z) / gamma
-        z = z_next
-        return {"residual": residual}
+        logs.append(_round(nodes, gamma, len(logs) + 1, forms))
+        z, z_old = logs[-1].z, z
+        return {"residual": _norm(z - z_old) / gamma}
 
     def final():
         x = np.stack(list(logs[-1].x_values.values()))  # nodes 1..n in order

@@ -51,8 +51,8 @@ class Prng:
     def normal_rows(self, count, k):
         """``count`` successive ``normals(k)`` draws as rows, bit for bit.
 
-        Not :meth:`normal_matrix`: its one ``normals(rows * cols)`` call takes
-        the same raw words but pairs them differently.
+        Not ``normals(count * k).reshape(count, k)``: that one call takes the
+        same raw words but pairs them differently.
         """
         check_budget(count, "count", 0)
         check_budget(k, "k", 0)
@@ -67,9 +67,6 @@ class Prng:
         out[:, 0::2] = r * np.cos(theta)
         out[:, 1::2] = r * np.sin(theta)
         return out[:, :k]
-
-    def normal_matrix(self, rows, cols):
-        return self.normals(rows * cols).reshape(rows, cols)
 
     def subset(self, n, k):
         """Deterministic size-k subset of range(n), ``0 <= k <= n``, as a sorted index array."""

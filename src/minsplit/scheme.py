@@ -278,18 +278,19 @@ def solve_stack(s, op_lists, dim, tol=1e-10, max_iter=100000):
     check_budget(max_iter, "max_iter")
     k, z = 0, np.zeros((len(op_lists), s.d, dim))
     live, out = list(range(len(op_lists))), [None] * len(op_lists)
-    while live:
-        k += 1
-        t = _stacked(s, stacks, z)
-        reasons = [stop_reason(r, tol, k, max_iter) for r in _norms(t - z)]
-        for j, tj, reason in zip(live, t, reasons):
-            if reason is not None:
-                out[j] = (tj, reason == "tol", reason in DIVERGED, k)
-        keep = [row for row, reason in enumerate(reasons) if reason is None]
-        if len(keep) < len(live):
-            live, t = [live[row] for row in keep], t[keep]
-            stacks = [stack.take(keep) for stack in stacks]
-        z = t
+    with np.errstate(over="ignore", invalid="ignore"):  # the stop test reads inf or nan
+        while live:
+            k += 1
+            t = _stacked(s, stacks, z)
+            reasons = [stop_reason(r, tol, k, max_iter) for r in _norms(t - z)]
+            for j, tj, reason in zip(live, t, reasons):
+                if reason is not None:
+                    out[j] = (tj, reason == "tol", reason in DIVERGED, k)
+            keep = [row for row, reason in enumerate(reasons) if reason is None]
+            if len(keep) < len(live):
+                live, t = [live[row] for row in keep], t[keep]
+                stacks = [stack.take(keep) for stack in stacks]
+            z = t
     return out
 
 

@@ -1,9 +1,9 @@
 """Fixtures and helpers shared by the test modules.
 
 ``quadratic_block`` (with its ``solve_small`` and ``SingularMatrixError``),
-``PointIndicator`` and ``firmness_gap`` build test inputs and measure
-properties that only the tests need, so they live here rather than in the
-package.
+``PointIndicator``, ``firmness_gap``, ``normal_matrix`` and ``reconstruct``
+build test inputs and measure properties that only the tests need, so they
+live here rather than in the package.
 """
 
 import numpy as np
@@ -111,6 +111,16 @@ class PointIndicator(MonotoneOp):
         if np.shape(y) != self.p.shape:
             raise ShapeError(f"shapes disagree: y {np.shape(y)}, p {self.p.shape}")
         return self.p.copy()
+
+
+def normal_matrix(prng, rows, cols):
+    """One ``prng.normals(rows * cols)`` draw as a ``(rows, cols)`` matrix."""
+    return prng.normals(rows * cols).reshape(rows, cols)
+
+
+def reconstruct(res):
+    """``u @ diag(sigma) @ vt`` of an :class:`~minsplit.linalg.SvdResult`."""
+    return (res.u * res.sigma) @ res.vt
 
 
 def firmness_gap(op, y, y_bar, step=1.0):

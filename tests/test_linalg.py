@@ -5,7 +5,7 @@ from minsplit import cycle_laplacian, op_norm, svd
 from minsplit.errors import MinsplitError, ParameterError, ShapeError
 from minsplit.linalg import as_matrix, as_vector
 
-from conftest import SingularMatrixError, solve_small
+from conftest import SingularMatrixError, reconstruct, solve_small
 
 
 def test_svd_identity():
@@ -26,7 +26,7 @@ def test_svd_reconstruction_and_orthonormality(rng):
     x = rng.standard_normal((5, 4))
     res = svd(x)
     scale = 1.0 + np.linalg.norm(x)
-    assert np.linalg.norm(res.reconstruct() - x) <= 1e-10 * scale
+    assert np.linalg.norm(reconstruct(res) - x) <= 1e-10 * scale
     assert np.linalg.norm(res.u.T @ res.u - np.eye(4)) <= 1e-10
     assert np.linalg.norm(res.vt @ res.vt.T - np.eye(4)) <= 1e-10
     assert np.all(np.diff(res.sigma) <= 0)

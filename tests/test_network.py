@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from minsplit import (
     Z_PASS,
     AbsValue,
     Prng,
+    ProxOp,
     ZeroOp,
     dr_step,
     gathered_z,
@@ -24,7 +26,7 @@ from minsplit import (
     run_round,
 )
 from minsplit.errors import ParameterError, ProtocolError, ShapeError
-from minsplit.network import Message, RoundLog, _Mailbox
+from minsplit.network import Message, _Mailbox
 from minsplit.splitting import chain_argument, relaxed_update
 
 from conftest import affine_ops
@@ -189,9 +191,10 @@ class FifoMailbox:
 
 
 def reference_round(nodes, gamma, round_index):
-    """The round as first written: every read goes through a FIFO channel."""
+    """The round as first written: every read goes through a FIFO channel, and the
+    log holds each field as a list or dict filled as the round goes."""
     n = len(nodes)
-    log = RoundLog(round_index=round_index)
+    log = SimpleNamespace(round_index=round_index, messages=[], x_values={}, z_updates={})
     mail = FifoMailbox(n, log)
     for node in nodes[1:]:
         mail.send(node.node_id, node.node_id - 1, Z_PASS, node.owned_z)
@@ -321,6 +324,17 @@ def test_run_protocol_raises_the_round_error_on_an_uninitialised_node(blank):
     assert str(from_round.value) == f"node {blank + 1} has no initialised block"
 
 
+def test_a_failed_round_leaves_every_node_as_it_was():
+    # node state changes only once the whole round has run: a resolvent error at node 3
+    # leaves nodes 1 and 2 as they were too
+    ops = [ZeroOp(), ZeroOp(), ProxOp(lambda y, step: np.full((1,), 0.5)), ZeroOp()]
+    nodes = make_nodes(ops, np.arange(6.0).reshape(3, 2))
+    state = [(node.owned_z, node.last_x) for node in nodes]
+    with pytest.raises(ShapeError, match="node 3 resolvent returned shape"):
+        run_round(nodes, 0.9, 1)
+    assert all(node.owned_z is z and node.last_x is x for node, (z, x) in zip(nodes, state))
+
+
 @pytest.mark.parametrize("run", [run_round, run_protocol], ids=["run_round", "run_protocol"])
 def test_a_one_node_cycle_fails_on_its_missing_message(run):
     nodes = make_nodes([ZeroOp(), ZeroOp()], np.zeros((1, 2)))[:1]
@@ -344,32 +358,48 @@ def test_run_protocol_names_rounds_before_any_block_or_round(rounds, blank):
 
 @pytest.mark.parametrize("n, from_node, to_node", [(5, 1, 3), (5, 2, 2), (2, 2, 2)])
 def test_mailbox_rejects_non_adjacent_pairs(n, from_node, to_node):
-    log = RoundLog(round_index=1)
-    mail = _Mailbox(n, log)
+    mail = _Mailbox(n)
     with pytest.raises(ProtocolError, match="may not message"):
-        mail.send(from_node, to_node, X_PASS, np.zeros(2))
-    assert log.messages == []
+        mail.send(from_node, to_node, X_PASS, [0.0, 0.0])
+    assert mail.links == [] and mail.payloads == []
 
 
 @pytest.mark.parametrize("n, from_node, to_node", [(5, 1, 5), (5, 5, 1), (2, 1, 2), (2, 2, 1)])
 def test_mailbox_accepts_adjacent_nodes(n, from_node, to_node):
-    log = RoundLog(round_index=1)
-    mail = _Mailbox(n, log)
-    body = np.arange(2.0)
-    stored = mail.send(from_node, to_node, X_PASS, body)
-    assert np.array_equal(stored, body) and not np.shares_memory(stored, body)
-    assert log.messages[-1].body is stored
-    assert mail.receive(to_node, from_node, X_PASS) is stored
+    mail = _Mailbox(n)
+    payload = [0.0, 1.0]
+    assert mail.send(from_node, to_node, X_PASS, payload) == 0
+    assert mail.links == [from_node, to_node, X_PASS] and mail.payloads == [payload]
+    assert mail.receive(to_node, from_node, X_PASS) is payload
 
 
 def test_mailbox_receive_on_empty_channel_raises():
-    mail = _Mailbox(3, RoundLog(round_index=1))
+    mail = _Mailbox(3)
     with pytest.raises(ProtocolError, match="expected a z message from node 2"):
         mail.receive(1, 2, Z_PASS)
-    mail.send(2, 1, Z_PASS, np.zeros(1))
+    mail.send(2, 1, Z_PASS, [0.0])
     mail.receive(1, 2, Z_PASS)
     with pytest.raises(ProtocolError):
         mail.receive(1, 2, Z_PASS)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_message_bodies_are_rows_of_one_buffer_in_send_order(n):
+    # no message owns a copy: body j is row j of one (2n, dim) float64 buffer, and every
+    # reading of the log builds the same messages over it
+    _, ops = affine_ops(n, 2, seed=79)
+    log = run_round(make_nodes(ops, np.ones((n - 1, 2))), 0.9, 1)
+    messages = log.messages
+    assert [(m.from_node, m.to_node, m.kind) for m in messages] == (
+        [(i, i - 1, Z_PASS) for i in range(2, n + 1)] + [(1, 2, X_PASS), (1, n, X_PASS)]
+        + [(i, i % n + 1, X_PASS) for i in range(2, n + 1)])
+    buffer = messages[0].body.base
+    assert buffer.dtype == np.float64 and buffer.shape == (2 * n, 2) and buffer.flags.c_contiguous
+    start = buffer.__array_interface__["data"][0]
+    for row, m in enumerate(messages):
+        assert m.body.base is buffer
+        assert m.body.__array_interface__["data"][0] == start + row * buffer.strides[0]
+    assert log_record(log) == log_record(log)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])

@@ -18,7 +18,7 @@ from minsplit import (
 )
 from minsplit.errors import ParameterError
 
-from conftest import firmness_gap
+from conftest import firmness_gap, normal_matrix
 
 
 MASK = (1 << 64) - 1
@@ -232,8 +232,8 @@ def gen_affine_monotone_per_draw(n_ops, dim, seed, moduli):
     scale = 1.0 / np.sqrt(dim)
     mats = []
     for beta in moduli:
-        p = prng.normal_matrix(dim, dim) * scale
-        k = prng.normal_matrix(dim, dim) * scale
+        p = normal_matrix(prng, dim, dim) * scale
+        k = normal_matrix(prng, dim, dim) * scale
         mats.append(p.T @ p + 0.5 * (k - k.T) + beta * np.eye(dim))
     solution = prng.normals(dim)
     offsets = [prng.normals(dim) for _ in range(n_ops - 1)]
